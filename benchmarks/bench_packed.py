@@ -6,16 +6,17 @@ edge universe, batched mixed-radix decode, per-step delta tapes), then
 time :class:`~repro.checker.packed.PackedChecker` replay against the
 conventional per-graph topological sort and the streaming delta
 pipeline.  Verdicts are asserted byte-identical three ways (packed ==
-delta == legacy collective); the deterministic work counts — including
-the greedy similarity ordering's digit-transition yield — land in
+delta == legacy collective); the deterministic work counts land in
 ``benchmarks/results/BENCH_packed.json``.
 
-Two pins gate the run:
+The timings are replay only: plan compilation happens before the timed
+calls, so these figures do not show the end-to-end (plan plus replay)
+cost — EXPERIMENTS.md records that separately.  Two pins gate the run:
 
 * packed replay is at least ``_MIN_SPEEDUP``× faster than conventional
-  checking on *every* configuration (the tentpole's contract), and
-* the greedy bucket order strictly reduces adjacent digit transitions
-  below the ascending signature sort on every configuration.
+  checking on *every* configuration, and
+* packed replay beats the delta pipeline's check on every
+  configuration.
 """
 
 import json
@@ -95,20 +96,15 @@ def _packed_rows():
         metrics = handle.metrics
         assert metrics.counter("checker.packed.digits_changed").value == \
             packed.digits_changed
-        assert metrics.gauge("checker.packed.bucket_digits_changed").value \
-            == plan.similarity["bucket_digits_changed"]
 
         packed = _best_of(PackedChecker().check, plan)
         delta = _best_of(CollectiveChecker().check_deltas, source)
         baseline = _best_of(BaselineChecker().check, graphs)
         speedup = baseline.elapsed / packed.elapsed if packed.elapsed else 0
-        similarity = plan.similarity
         rows.append([
             name, len(graphs),
             packed.elapsed * 1e3, delta.elapsed * 1e3, baseline.elapsed * 1e3,
-            speedup,
-            similarity["sorted_digits_changed"],
-            similarity["bucket_digits_changed"],
+            speedup, packed.digits_changed,
         ])
         snapshot[name] = {
             "graphs": packed.num_graphs,
@@ -119,9 +115,7 @@ def _packed_rows():
             "edges_added": packed.edges_added,
             "edges_removed": packed.edges_removed,
             "edge_universe": plan.num_edges,
-            "digit_columns": similarity["digit_columns"],
-            "sorted_digits_changed": similarity["sorted_digits_changed"],
-            "bucket_digits_changed": similarity["bucket_digits_changed"],
+            "digit_columns": plan.digit_columns,
             "info_ms": {"packed": round(packed.elapsed * 1e3, 3),
                         "delta": round(delta.elapsed * 1e3, 3),
                         "conventional": round(baseline.elapsed * 1e3, 3),
@@ -136,24 +130,21 @@ def test_packed_core_speedup(benchmark):
     rows, snapshot, sample = _packed_rows()
     record_table("packed_checking", format_table(
         ["config", "unique graphs", "packed ms", "delta ms",
-         "conventional ms", "speedup x", "sorted digit transitions",
-         "bucket digit transitions"], rows,
-        title="Packed checking core vs conventional and delta pipelines "
-              "(%d iterations per test; pin: >=%.0fx everywhere)"
-              % (_ITERS, _MIN_SPEEDUP)))
+         "conventional ms", "speedup x", "digit transitions"], rows,
+        title="Packed replay (plan compile excluded) vs conventional and "
+              "delta pipelines (%d iterations per test; pin: >=%.0fx "
+              "everywhere)" % (_ITERS, _MIN_SPEEDUP)))
     _SNAPSHOT.parent.mkdir(exist_ok=True)
     _SNAPSHOT.write_text(json.dumps(
         {"schema": "repro.bench-packed", "version": 1,
          "iterations": _ITERS, "seed": 31, "configs": snapshot},
         indent=2, sort_keys=True) + "\n")
 
-    # the tentpole contract: >=5x over conventional on every config
+    # >=5x replay speedup over conventional on every config
     slow = [(r[0], r[5]) for r in rows if r[5] < _MIN_SPEEDUP]
     assert not slow, "packed speedup below %.1fx: %r" % (_MIN_SPEEDUP, slow)
-    # packed must also beat the delta pipeline it reproduces
+    # packed replay must also beat the delta pipeline it reproduces
     assert all(r[2] < r[3] for r in rows)
-    # the greedy similarity order strictly reduces digit transitions
-    assert all(r[7] < r[6] for r in rows)
 
     checker = PackedChecker()
     benchmark(obs_off(checker.check), sample)

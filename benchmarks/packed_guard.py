@@ -4,11 +4,10 @@ Runs the shared reduced Figure-9 configuration table (see
 ``guard_common.py``) through the array-compiled ``packed`` pipeline,
 enforces three-way verdict parity (packed == delta == legacy graphs,
 collective and baseline), and compares every deterministic work count —
-plus the packed plan's edge-universe size and similarity-ordering yield
-— against the committed snapshot
-``benchmarks/results/PACKED_GUARD.json``.  A change that grows the edge
-universe, weakens the greedy bucket ordering or re-sorts more vertices
-than the snapshot fails CI even when parity still holds.
+plus the packed plan's edge-universe size and digit-column count —
+against the committed snapshot ``benchmarks/results/PACKED_GUARD.json``.
+A change that grows the edge universe or re-sorts more vertices than
+the snapshot fails CI even when parity still holds.
 
 Usage::
 
@@ -30,8 +29,7 @@ def _plan_counts(outcome) -> dict:
     plan = outcome.source
     return {
         "edge_universe": plan.num_edges,
-        "digit_columns": plan.similarity["digit_columns"],
-        "bucket_digits_changed": plan.similarity["bucket_digits_changed"],
+        "digit_columns": plan.digit_columns,
     }
 
 

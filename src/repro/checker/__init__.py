@@ -3,13 +3,7 @@
 from repro.checker.baseline import BaselineChecker
 from repro.checker.collective import CollectiveChecker
 from repro.checker.delta import SignatureDeltaSource
-from repro.checker.dispatch import (
-    CROSS_CHECKS,
-    PIPELINES,
-    SERVE_PIPELINES,
-    choose_pipeline,
-    estimate_costs,
-)
+from repro.checker.dispatch import CROSS_CHECKS, PIPELINES, SERVE_PIPELINES
 from repro.checker.minimize import MinimizedViolation, minimize_violation
 from repro.checker.packed import PackedChecker, PackedPlan
 from repro.checker.poly import (
@@ -47,9 +41,7 @@ __all__ = [
     "PolySignatureSource",
     "PolyVerifier",
     "SignatureDeltaSource",
-    "choose_pipeline",
     "cross_check_poly",
-    "estimate_costs",
     "minimize_violation",
     "Verdict",
     "describe_cycle",

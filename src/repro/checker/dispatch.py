@@ -1,77 +1,17 @@
-"""Pipeline registry and the ``auto`` dispatcher's pinned cost model.
+"""Pipeline registry: the checking pipelines each surface accepts.
 
 One authoritative list of checking pipelines, consumed by the CLI
 subparsers (run/check/suite/serve), the runner's validation and the
 argparse-introspection test — the registry exists so help text, choices
 and docs cannot drift apart again.
-
-``choose_pipeline`` picks the fastest backend for a workload shape from
-a small pinned linear cost model.  The constants are *measured*, not
-guessed: they are fitted to the fig09 head-to-head numbers committed in
-``benchmarks/results/BENCH_poly.json`` (see ``benchmarks/bench_poly.py``
-and EXPERIMENTS.md), then pinned here so dispatch is deterministic
-across hosts — the model ranks backends, it does not predict wall
-clock.  The work unit is the *cell* (signatures × vertices):
-
-* ``delta`` — no setup cost, moderate per-cell cost (incremental digit
-  peel + windowed re-sort);
-* ``packed`` — a fixed plan-compile overhead (batched decode, CSR edge
-  universe, similarity lexsort), then the cheapest per-cell replay of
-  any backend; wins everything beyond a few hundred cells;
-* ``poly`` — no sort machinery, but per-signature closures over
-  bit-vector frontiers cost an order of magnitude more per cell than a
-  delta replay on every fig09 config.  It never wins dispatch: poly is
-  the *cross-oracle* family, kept fast enough to run differentially,
-  not a throughput backend;
-* ``graphs`` — the legacy materialize-and-sort path; dominated
-  everywhere, but the only pipeline whose graphs are not required to be
-  a pure function of the signature, hence the forced ``observed``
-  ws-mode fallback.
 """
 
 from __future__ import annotations
 
 #: every batch checking pipeline `check_campaign_result` accepts
-PIPELINES = ("graphs", "delta", "packed", "poly", "auto")
+PIPELINES = ("graphs", "delta", "packed", "poly")
 #: pipelines the streaming daemon can finalize with (the legacy graphs
 #: path never streams: it materializes every graph up front)
-SERVE_PIPELINES = ("delta", "packed", "poly", "auto")
+SERVE_PIPELINES = ("delta", "packed", "poly")
 #: dynamic cross-oracles `--cross-check` can run after checking
 CROSS_CHECKS = ("feasible", "poly")
-
-#: pinned per-cell costs in microseconds and the packed compile
-#: overhead, fitted to the committed fig09 snapshots (600 iterations,
-#: seed 31): delta 0.17-0.25 µs/cell and packed ~0.06 µs/cell + ~50 µs
-#: compile in BENCH_packed.json; poly 0.75-3.4 µs/cell (median ~1.3)
-#: in BENCH_poly.json
-DELTA_US_PER_CELL = 0.22
-PACKED_US_PER_CELL = 0.06
-PACKED_PLAN_OVERHEAD_US = 55.0
-POLY_US_PER_CELL = 1.3
-
-
-def estimate_costs(num_signatures: int, num_vertices: int) -> dict:
-    """Modelled checking cost (µs) per dispatchable pipeline."""
-    cells = num_signatures * num_vertices
-    return {
-        "delta": DELTA_US_PER_CELL * cells,
-        "packed": PACKED_PLAN_OVERHEAD_US + PACKED_US_PER_CELL * cells,
-        "poly": POLY_US_PER_CELL * cells,
-    }
-
-
-def choose_pipeline(num_signatures: int, num_vertices: int,
-                    ws_mode: str = "static") -> str:
-    """Resolve ``auto`` to a concrete pipeline for one workload shape.
-
-    ``observed`` ws-mode always resolves to ``graphs`` (the other
-    pipelines require graphs to be a pure function of the signature);
-    otherwise the cheapest modelled backend wins, with ties broken
-    toward ``delta`` (no compile step to misjudge).
-    """
-    if ws_mode == "observed":
-        return "graphs"
-    if num_signatures == 0:
-        return "delta"
-    costs = estimate_costs(num_signatures, num_vertices)
-    return min(sorted(costs), key=lambda name: costs[name])

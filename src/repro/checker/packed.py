@@ -12,47 +12,36 @@ once per campaign into flat arrays:
   with int32 endpoint arrays and a CSR-style ``offsets/targets`` layout
   grouped by source vertex;
 * the **digits matrix** — the block of signatures decoded at once into
-  per-load mixed-radix digits (vectorized under numpy, plain loops in
-  the pure-``array`` fallback), so ``word_changes`` between neighbours
-  becomes a column diff; and
+  per-load mixed-radix digit rows, so ``word_changes`` between
+  neighbours becomes a column diff; and
 * per-step **edge tapes** — for each signature-adjacent step, the edge
   indices whose refcount drops/rises, precompiled from the digit diffs.
 
-:class:`PackedChecker` then replays the tapes through an event-driven
-window re-sort (:func:`_event_resort`) that exploits a structural
-invariant of the delta stream: the base order is topological for the
-last valid graph, so *every* live backward edge inside a re-sort window
-is one of the pending added edges — and those are exactly what the
-lead/trail scan already enumerates.  The greedy min-position Kahn sort
-(equivalently, the lexicographically smallest topological order by old
-position) therefore emits almost every vertex in its old relative order;
-the only vertices needing individual work are backward-edge endpoints
-and the vertices their deferral cascades onto.  Everything between those
-events streams through as contiguous runs, so per-window Python cost is
-O(backward edges + deferred vertices × degree), independent of window
-size.  Verdicts, witnesses and ``sorted_vertices`` accounting are
-byte-identical to ``check_deltas`` / legacy ``check`` — the same summary
-dict, property-tested three ways.
+:class:`PackedChecker` then replays the tapes, in the same ascending
+signature order the delta pipeline checks (paper Section 3: sorted
+neighbours share most of their constraint graph), through an
+event-driven window re-sort (:func:`_event_resort`) that exploits a
+structural invariant of the delta stream: the base order is topological
+for the last valid graph, so *every* live backward edge inside a re-sort
+window is one of the pending added edges — and those are exactly what
+the lead/trail scan already enumerates.  The greedy min-position Kahn
+sort (equivalently, the lexicographically smallest topological order by
+old position) therefore emits almost every vertex in its old relative
+order; the only vertices needing individual work are backward-edge
+endpoints and the vertices their deferral cascades onto.  Everything
+between those events streams through as contiguous runs, so per-window
+Python cost is O(backward edges + deferred vertices × degree),
+independent of window size.  Verdicts, witnesses and
+``sorted_vertices`` accounting are byte-identical to ``check_deltas`` /
+legacy ``check`` — the same summary dict, property-tested three ways.
 
-The plan also computes a **similarity (bucket) ordering** of the block —
-a radix-style lexicographic sort under a digit-column permutation that
-orders columns by ascending candidate fan-out — quantifying how much the
-paper's signature sort already buys and how much a similarity-aware
-order would shrink the digit deltas.  The checked order itself stays the
-ascending signature sort: byte-identity pins the per-index verdict
-methods, so the bucket order is reported (``similarity`` stats, bench
-columns), not silently substituted.
-
-numpy is optional (the ``[perf]`` extra): with it, block decode, the
-similarity sort and the order/position rewrites vectorize; without it,
-the same kernels run over plain lists and ``array('i')`` rows.  Both
-backends produce identical reports; ``REPRO_PACKED_BACKEND=array``
-forces the fallback.
+``benchmarks/bench_packed.py`` times the replay alone; compiling the
+plan is paid on top of it, so the end-to-end comparison with the delta
+pipeline (plan plus replay) is a separate measurement (EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 
 from repro.checker.collective import CollectiveChecker
@@ -68,27 +57,6 @@ from repro.graph.delta import DeltaGraphState
 from repro.graph.toposort import find_cycle
 from repro.obs import get_obs
 
-try:
-    import numpy as _np
-except ImportError:  # pure-array fallback keeps the pipeline available
-    _np = None
-
-#: environment override: "array" forces the pure-``array`` backend even
-#: when numpy is importable (CI runs the packed suite both ways)
-_BACKEND_ENV = "REPRO_PACKED_BACKEND"
-
-# Above this many unique signatures the greedy similarity chain (quadratic
-# in block size) is skipped and the bucket order stays the sorted order.
-_GREEDY_CAP = 4096
-
-
-def default_backend() -> str:
-    """The backend a plan built without an explicit choice will use."""
-    forced = os.environ.get(_BACKEND_ENV, "").strip().lower()
-    if forced in ("array", "numpy"):
-        return forced
-    return "numpy" if _np is not None else "array"
-
 
 class PackedPlan:
     """A sorted unique-signature block compiled to flat checking arrays.
@@ -103,27 +71,15 @@ class PackedPlan:
         codec: the campaign's :class:`SignatureCodec`.
         builder: a static-ws :class:`GraphBuilder` over the same program.
         signatures: unique signatures in ascending (checking) order.
-        backend: ``"numpy"``, ``"array"`` or None (auto: numpy when
-            importable, honouring ``REPRO_PACKED_BACKEND``).
     """
 
-    def __init__(self, codec, builder, signatures, backend: str = None):
+    def __init__(self, codec, builder, signatures):
         if builder.ws_mode != "static":
             raise CheckerError("delta checking requires static ws_mode "
                                "(observed graphs are not a function of the "
                                "signature alone)")
         if builder.program is not codec.program:
             raise CheckerError("codec and builder must share one program")
-        if backend is None:
-            backend = default_backend()
-        if backend not in ("numpy", "array"):
-            raise CheckerError("packed backend must be 'numpy' or 'array'; "
-                               "got %r" % (backend,))
-        if backend == "numpy" and _np is None:
-            raise CheckerError("the numpy packed backend needs numpy "
-                               "(install the [perf] extra) — set "
-                               "%s=array for the fallback" % _BACKEND_ENV)
-        self.backend = backend
         self.codec = codec
         self.builder = builder
         self.signatures = list(signatures)
@@ -135,15 +91,13 @@ class PackedPlan:
             self._decode_block()
             self._build_tapes()
             self._build_base()
-            self._build_similarity()
         else:
             self._empty_block()
 
         get_obs().emit("checker.packed.plan",
                        signatures=len(self.signatures),
-                       backend=self.backend,
                        edge_universe=self.num_edges,
-                       digit_columns=len(self._col_specs))
+                       digit_columns=self.digit_columns)
 
     # -- compilation ------------------------------------------------------------
 
@@ -170,6 +124,8 @@ class PackedPlan:
                     constant.append((slot.uid, slot.candidates[0]))
             word_base += table.num_words
         self._col_specs = specs
+        #: multi-candidate load slots: one digit column each
+        self.digit_columns = len(specs)
         self._col_loads = col_loads
         self._constant_loads = constant
         self.total_words = word_base
@@ -236,13 +192,12 @@ class PackedPlan:
         self._csr_dst_list = csr_dst.tolist()
 
     def _decode_block(self) -> None:
-        """Batched mixed-radix decode of the whole block into digit rows.
+        """Mixed-radix decode of the whole block into digit rows.
 
-        The numpy backend decodes every column of the block at once
-        (``uint64`` — 64-bit-register words exceed int64) and validates
-        by reconstructing the word matrix from the digits: a word is in
-        range iff its digit expansion sums back to it exactly, mirroring
-        the per-signature range check of :meth:`ThreadWeightTable.decode`.
+        Each row is validated by reconstructing its words from the
+        digits: a word is in range iff its digit expansion sums back to
+        it exactly, mirroring the per-signature range check of
+        :meth:`ThreadWeightTable.decode`.
         """
         sigs = self.signatures
         tables = self.codec.tables
@@ -254,41 +209,24 @@ class PackedPlan:
                     "signature %d has mismatched thread sections: %s"
                     % (i, sig))
         specs = self._col_specs
-        if self.backend == "numpy":
-            words = _np.array([sig.flat for sig in sigs], dtype=_np.uint64)
-            digits = _np.empty((len(sigs), len(specs)), dtype=_np.uint64)
-            recon = _np.zeros_like(words)
-            for c, (wc, mult, ncand) in enumerate(specs):
-                col = (words[:, wc] // _np.uint64(mult)) % _np.uint64(ncand)
-                digits[:, c] = col
-                recon[:, wc] += col * _np.uint64(mult)
-            if not _np.array_equal(recon, words):
-                bad = int(_np.nonzero((recon != words).any(axis=1))[0][0])
+        rows = []
+        for i, sig in enumerate(sigs):
+            flat = sig.flat
+            recon = [0] * self.total_words
+            row = []
+            for wc, mult, ncand in specs:
+                d = (flat[wc] // mult) % ncand
+                row.append(d)
+                recon[wc] += d * mult
+            if tuple(recon) != flat:
                 raise SignatureError(
-                    "signature %d (%s) is outside the mixed-radix range "
-                    "of its weight tables" % (bad, sigs[bad]))
-            self._digits_np = digits
-            self._digit_rows = [[int(d) for d in row] for row in digits]
-        else:
-            rows = []
-            for i, sig in enumerate(sigs):
-                flat = sig.flat
-                recon = [0] * self.total_words
-                row = []
-                for wc, mult, ncand in specs:
-                    d = (flat[wc] // mult) % ncand
-                    row.append(d)
-                    recon[wc] += d * mult
-                if tuple(recon) != flat:
-                    raise SignatureError(
-                        "signature %d (%s) is outside the mixed-radix "
-                        "range of its weight tables" % (i, sig))
-                rows.append(row)
-            self._digits_np = None
-            self._digit_rows = rows
+                    "signature %d (%s) is outside the mixed-radix "
+                    "range of its weight tables" % (i, sig))
+            rows.append(row)
+        self._digit_rows = rows
 
     def _build_tapes(self) -> None:
-        """Per-step edge tapes from the vectorized column diff.
+        """Per-step edge tapes from the digit-row column diff.
 
         For checked index ``i >= 1``, ``rem_flat[rem_off[i]:rem_off[i+1]]``
         holds the edge ids whose refcount drops by one (the old digit's
@@ -364,71 +302,7 @@ class PackedPlan:
             for pos, v in enumerate(self.base_order):
                 self.base_position[v] = pos
 
-    def _build_similarity(self) -> None:
-        """Greedy similarity (bucket) ordering of the block, and its yield.
-
-        Each row's digits are one-hot packed into a single big integer —
-        one bit lane per (column, digit) — so the number of agreeing
-        digits between two rows is ``popcount(mask_a & mask_b)``.  A
-        greedy nearest-neighbour chain starting from the first sorted
-        row then always visits the unvisited row sharing the most digits
-        with the current one (ties to the lowest index, so the order is
-        deterministic and backend-independent).  On the fig09 corpus
-        this cuts adjacent digit transitions 30-45% below the ascending
-        signature sort, unlike any fixed-column radix permutation.
-        Reported as ``similarity`` stats and exposed as
-        :attr:`bucket_order`; the checked order stays the ascending
-        signature sort (byte-identity pins per-index verdicts).  Blocks
-        larger than ``_GREEDY_CAP`` keep the sorted order (the chain is
-        quadratic in the number of unique signatures).
-        """
-        ncols = len(self._col_specs)
-        rows = self._digit_rows
-        n = len(rows)
-        if 1 < n <= _GREEDY_CAP and ncols:
-            lane = []
-            bit = 0
-            for _, _, fan in self._col_specs:
-                lane.append(bit)
-                bit += fan
-            masks = [0] * n
-            for i, row in enumerate(rows):
-                m = 0
-                for c in range(ncols):
-                    m |= 1 << (lane[c] + row[c])
-                masks[i] = m
-            bucket = [0]
-            remaining = list(range(1, n))
-            cur = masks[0]
-            while remaining:
-                best_k = 0
-                best_match = -1
-                for k, i in enumerate(remaining):
-                    match = bin(cur & masks[i]).count("1")
-                    if match > best_match:
-                        best_match = match
-                        best_k = k
-                nxt = remaining.pop(best_k)
-                bucket.append(nxt)
-                cur = masks[nxt]
-        else:
-            bucket = list(range(n))
-        changed = 0
-        for a, b in zip(bucket, bucket[1:]):
-            ra, rb = rows[a], rows[b]
-            for c in range(ncols):
-                if ra[c] != rb[c]:
-                    changed += 1
-        self.bucket_order = bucket
-        self.similarity = {
-            "signatures": n,
-            "digit_columns": ncols,
-            "sorted_digits_changed": self.digits_changed_total,
-            "bucket_digits_changed": changed,
-        }
-
     def _empty_block(self) -> None:
-        self._digits_np = None
         self._digit_rows = []
         self.rem_flat = self.add_flat = array("i")
         self.rem_off = self.add_off = array("i", [0])
@@ -442,11 +316,6 @@ class PackedPlan:
         self.initial_adjacency = {}
         self.base_order = None
         self.base_position = None
-        self.bucket_order = []
-        self.similarity = {"signatures": 0,
-                           "digit_columns": len(self._col_specs),
-                           "sorted_digits_changed": 0,
-                           "bucket_digits_changed": 0}
 
     # -- graph-source protocol --------------------------------------------------
 
@@ -497,13 +366,7 @@ class PackedChecker:
             self._record_packed_metrics(obs, report, plan)
         return report
 
-    # -- replay loop (backend-independent) --------------------------------------
-    #
-    # Scalar indexing dominates the checking loop, and CPython lists beat
-    # numpy arrays at scalar reads on every fig09 config (numpy's win is
-    # the *plan* build: batched signature decode and the similarity
-    # lexsort).  So there is exactly one replay loop, shared by both plan
-    # backends, operating on plain lists/bytearrays.
+    # -- replay loop ------------------------------------------------------------
 
     def _check_loop(self, plan: PackedPlan, report: CheckReport) -> None:
         num_vertices = plan.num_vertices
@@ -642,8 +505,6 @@ class PackedChecker:
         metrics.counter("checker.packed.edges_removed").inc(
             report.edges_removed)
         metrics.gauge("checker.packed.edge_universe").set(plan.num_edges)
-        metrics.gauge("checker.packed.bucket_digits_changed").set(
-            plan.similarity["bucket_digits_changed"])
         window_hist = metrics.histogram("checker.packed.window_size")
         for verdict in report.verdicts:
             if verdict.method == INCREMENTAL:

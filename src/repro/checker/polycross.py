@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.checker.poly import PolyVerifier
 from repro.obs import get_obs
-from repro.sim.platform import platform_for_isa
+from repro.sim.platform import model_for_register_width
 
 #: verdict-table cell names
 AGREE_CLEAN = "agree-clean"
@@ -135,12 +135,6 @@ class PolyCrossCheckReport:
         return "\n".join(lines)
 
 
-def _default_model(result):
-    """The io.py register-width convention used across host checking."""
-    return platform_for_isa(
-        "x86" if result.codec.register_width == 64 else "arm").memory_model
-
-
 def cross_check_poly(result, outcome, model=None) -> PolyCrossCheckReport:
     """Cross-check a checked campaign against the frontier closure.
 
@@ -151,7 +145,7 @@ def cross_check_poly(result, outcome, model=None) -> PolyCrossCheckReport:
         model: memory model; defaults to the register-width convention.
     """
     if model is None:
-        model = _default_model(result)
+        model = model_for_register_width(result.codec.register_width)
     obs = get_obs()
     with obs.span("poly.crosscheck"):
         verifier = PolyVerifier(result.program, model)

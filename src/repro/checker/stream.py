@@ -33,6 +33,7 @@ from array import array
 
 from repro.checker.collective import CollectiveChecker
 from repro.checker.delta import SignatureDeltaSource
+from repro.checker.dispatch import SERVE_PIPELINES
 from repro.checker.results import (
     COMPLETE,
     INCREMENTAL,
@@ -214,19 +215,17 @@ class StreamingCollectiveChecker:
 
         ``pipeline="packed"`` replays through the array-compiled
         :class:`~repro.checker.packed.PackedChecker` instead — same
-        summary by construction, faster on large blocks.
+        summary by construction.
         ``pipeline="poly"`` finalizes through the frontier-closure
         family (:class:`~repro.checker.poly.PolyChecker`): identical
         violation verdicts, family-specific method statistics.
-        ``pipeline="auto"`` resolves to the cheapest backend for the
-        block's shape.
         """
+        if pipeline not in SERVE_PIPELINES:
+            raise CheckerError(
+                "finalize pipeline must be one of %s; got %r"
+                % ("/".join(SERVE_PIPELINES), pipeline))
         pool = self.signatures if signatures is None else signatures
         block = sorted(set(pool))
-        if pipeline == "auto":
-            from repro.checker.dispatch import choose_pipeline
-            pipeline = choose_pipeline(len(block),
-                                       self.builder.program.num_ops)
         if pipeline == "packed":
             from repro.checker.packed import PackedChecker, PackedPlan
             plan = PackedPlan(self.codec, self.builder, block)

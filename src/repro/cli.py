@@ -11,8 +11,8 @@ Commands mirror the paper's flow so each stage can run standalone:
 * ``check`` — load a signature dump, decode, build graphs, and run the
   collective checker (the host side); ``--check-pipeline`` selects the
   streaming ``delta`` pipeline (default), the array-compiled ``packed``
-  pipeline, the frontier-closure ``poly`` family, the shape-dispatched
-  ``auto`` or the legacy ``graphs`` path (``run`` and ``suite`` accept
+  pipeline, the frontier-closure ``poly`` family or the legacy
+  ``graphs`` path (``run`` and ``suite`` accept
   the same switch for their checking stage; the choices come from the
   :data:`repro.checker.PIPELINES` registry),
 * ``suite`` — run a multi-test suite (the paper's per-configuration
@@ -82,7 +82,7 @@ from repro.feasible.enumerator import DEFAULT_BUDGET, DEFAULT_SAMPLES
 from repro.instrument import SignatureCodec, code_size, emit_listing, intrusiveness
 from repro.isa.assembler import assemble, disassemble
 from repro.mcm import get_model
-from repro.sim import OperationalExecutor, platform_for_isa
+from repro.sim import OperationalExecutor, model_for_register_width
 from repro.testgen import TestConfig, generate
 from repro.testgen.litmus import all_litmus_tests, extended_litmus_tests
 
@@ -301,7 +301,7 @@ def _cmd_check(args) -> int:
     handle = repro_obs.enable() if _metrics_wanted(args) else None
     result = repro_io.read_campaign(args.dump)
     config_model = get_model(args.model) if args.model else \
-        platform_for_isa("x86" if result.codec.register_width == 64 else "arm").memory_model
+        model_for_register_width(result.codec.register_width)
     outcome = check_campaign_result(result, config_model, ws_mode=args.ws_mode,
                                     baseline=False,
                                     pipeline=args.check_pipeline)
@@ -1081,9 +1081,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="delta",
                    help="finalize (drain) replay pipeline: streaming "
                         "'delta' (default), the array-compiled 'packed' "
-                        "core, the frontier-closure 'poly' family or "
-                        "shape-dispatched 'auto' — identical violation "
-                        "verdicts (the legacy graphs path never streams)")
+                        "core or the frontier-closure 'poly' family — "
+                        "identical violation verdicts (the legacy graphs "
+                        "path never streams)")
     p.add_argument("--progress", action="store_true",
                    help="draw live per-session progress rows on stderr")
     p.add_argument("--protocol-doc", action="store_true",
@@ -1185,12 +1185,10 @@ def _add_pipeline_argument(parser: argparse.ArgumentParser) -> None:
                              "decodes and edge deltas, never holding more "
                              "than one full graph; 'packed' compiles the "
                              "block into flat arrays (CSR edge universe, "
-                             "batched decode) and replays it — fastest; "
+                             "block decode) and replays it; "
                              "'poly' verifies each signature by frontier "
                              "closure (independent algorithm family, no "
-                             "constraint graph); 'auto' picks the cheapest "
-                             "backend for the block's shape from the "
-                             "pinned cost model; 'graphs' materializes "
+                             "constraint graph); 'graphs' materializes "
                              "every constraint graph first (legacy path; "
                              "--ws-mode observed always uses it)")
 

@@ -33,7 +33,7 @@ from repro.feasible.enumerator import (
     enumerate_feasible,
 )
 from repro.obs import get_obs
-from repro.sim.platform import platform_for_isa
+from repro.sim.platform import model_for_register_width
 
 #: verdict-table cell names
 AGREE_CLEAN = "agree-clean"
@@ -169,12 +169,6 @@ class CrossCheckReport:
         return "\n".join(lines)
 
 
-def _default_model(result):
-    """The io.py register-width convention used across host checking."""
-    return platform_for_isa(
-        "x86" if result.codec.register_width == 64 else "arm").memory_model
-
-
 def cross_check_outcome(result, outcome, model=None, *,
                         budget: int = DEFAULT_BUDGET,
                         samples: int = DEFAULT_SAMPLES,
@@ -190,7 +184,7 @@ def cross_check_outcome(result, outcome, model=None, *,
             observed signature is always exact regardless).
     """
     if model is None:
-        model = _default_model(result)
+        model = model_for_register_width(result.codec.register_width)
     obs = get_obs()
     with obs.span("feasible.crosscheck"):
         oracle = FeasibilityOracle(result.program, model)

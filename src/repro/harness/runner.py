@@ -25,7 +25,7 @@ from repro.harness.sortmodel import SortCostModel
 from repro.checker.baseline import BaselineChecker
 from repro.checker.collective import CollectiveChecker
 from repro.checker.delta import SignatureDeltaSource
-from repro.checker.dispatch import PIPELINES, choose_pipeline
+from repro.checker.dispatch import PIPELINES
 from repro.checker.packed import PackedChecker, PackedPlan
 from repro.checker.poly import PolyChecker, PolySignatureSource
 from repro.checker.results import CheckReport
@@ -43,7 +43,11 @@ from repro.mcm.model import MemoryModel
 from repro.obs import get_obs
 from repro.sim.executor import OperationalExecutor
 from repro.sim.os_model import OSModel
-from repro.sim.platform import Platform, platform_for_isa
+from repro.sim.platform import (
+    Platform,
+    model_for_register_width,
+    platform_for_isa,
+)
 from repro.testgen.config import TestConfig
 from repro.testgen.generator import generate
 
@@ -390,8 +394,7 @@ class Campaign:
                 the checker; ``"graphs"`` materializes every graph
                 first; ``"packed"`` compiles the block into flat arrays
                 and replays it; ``"poly"`` runs the frontier-closure
-                family; ``"auto"`` dispatches on workload shape.  See
-                :func:`check_campaign_result`.
+                family.  See :func:`check_campaign_result`.
         """
         return check_campaign_result(result, self.model, ws_mode=ws_mode,
                                      pipeline=pipeline)
@@ -423,9 +426,7 @@ def check_campaign_result(result: CampaignResult, model: MemoryModel = None,
             the array-kernel checker; ``"poly"`` decodes each signature
             and runs an independent frontier-closure verification (no
             constraint graph, no topological sort — the second algorithm
-            family); ``"auto"`` resolves to the cheapest backend for the
-            block's shape via :func:`repro.checker.choose_pipeline`.
-            Violation verdicts are identical in all of them; the
+            family).  Violation verdicts are identical in all of them; the
             graph-family pipelines additionally share the full report
             summary byte for byte.  ``ws_mode="observed"`` graphs depend
             on per-execution coherence order, not the signature alone,
@@ -436,16 +437,12 @@ def check_campaign_result(result: CampaignResult, model: MemoryModel = None,
             "pipeline must be one of %s; got %r"
             % ("/".join(PIPELINES), pipeline))
     if model is None:
-        model = platform_for_isa(
-            "x86" if result.codec.register_width == 64 else "arm").memory_model
+        model = model_for_register_width(result.codec.register_width)
     if ws_mode == "observed":
         pipeline = "graphs"  # observed graphs are not signature-pure
     obs = get_obs()
     with obs.span("check"):
         signatures = result.sorted_signatures()
-        if pipeline == "auto":
-            pipeline = choose_pipeline(len(signatures),
-                                       result.program.num_ops, ws_mode)
         if pipeline == "poly":
             source = PolySignatureSource(result.codec, model, signatures)
             outcome = CheckOutcome(

@@ -20,7 +20,6 @@ class SortCostModel:
 
     cycles_per_comparison: float = 22.0   # node fetch + compare + branch
     word_compare_cost: float = 2.0        # extra cost per signature word
-    bucket_touch_cost: float = 6.0        # hash + bucket-head fetch per word
 
     def insert_cost(self, tree_size: int, signature_words: int) -> float:
         """Cycles to insert one signature into a tree of ``tree_size``."""
@@ -29,13 +28,3 @@ class SortCostModel:
                           + self.word_compare_cost * signature_words)
         return comparisons * per_comparison
 
-    def bucket_insert_cost(self, signature_words: int) -> float:
-        """Cycles to file one signature into a radix/similarity bucket.
-
-        Unlike BST insertion the cost is tree-size independent: the
-        signature is hashed word by word into its bucket and compared
-        against at most the bucket head, so each word pays one touch
-        plus one compare.
-        """
-        return max(1, signature_words) * (self.bucket_touch_cost
-                                          + self.word_compare_cost)

@@ -37,6 +37,7 @@ from repro.lint import (
 from repro.lint.findings import LintReport, Severity
 from repro.mcm import get_model
 from repro.obs import get_obs
+from repro.sim.platform import model_for_register_width
 
 #: analyzer families, in execution order
 FAMILIES = ("program", "signature", "verifier", "graph", "feasible")
@@ -72,8 +73,7 @@ class LintConfig:
 def _resolve_model(config, register_width: int):
     if config is not None:
         return get_model(config.memory_model_name)
-    # io.py convention: 64-bit signatures mean the x86/TSO platform
-    return get_model("tso" if register_width == 64 else "weak")
+    return model_for_register_width(register_width)
 
 
 def lint_program(program: TestProgram, *, codec: SignatureCodec = None,

@@ -256,7 +256,7 @@ def collect_check_counts(config_names, iterations: int, seed: int,
     Mirrors ``benchmarks/bench_fig09`` / ``delta_guard``: seeded pure
     Python end to end, so every leaf is bit-reproducible.  The
     ``packed`` pipeline adds its plan-level counts (edge-universe size
-    and similarity-ordering yield), matching ``bench_packed``; the
+    and digit columns), matching ``bench_packed``; the
     ``poly`` pipeline adds its closure-effort counts (rule applications
     and dynamic ordering facts), matching ``bench_poly``.
     """
@@ -282,13 +282,8 @@ def collect_check_counts(config_names, iterations: int, seed: int,
         }
         if pipeline == "packed":
             plan = outcome.source
-            counts[name].update(
-                edge_universe=plan.num_edges,
-                digit_columns=plan.similarity["digit_columns"],
-                sorted_digits_changed=plan.similarity[
-                    "sorted_digits_changed"],
-                bucket_digits_changed=plan.similarity[
-                    "bucket_digits_changed"])
+            counts[name].update(edge_universe=plan.num_edges,
+                                digit_columns=plan.digit_columns)
         if pipeline == "poly":
             source = outcome.source
             counts[name].update(

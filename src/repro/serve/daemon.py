@@ -77,8 +77,8 @@ class ServeConfig:
     pool_port: int = None
     #: batches with at least this many entries check on the pool
     offload: int = 512
-    #: finalize pipeline: "delta" (default), array-compiled "packed",
-    #: frontier-closure "poly" or shape-dispatched "auto"
+    #: finalize pipeline: "delta" (default), array-compiled "packed" or
+    #: frontier-closure "poly"
     #: (:data:`repro.checker.SERVE_PIPELINES`)
     check_pipeline: str = "delta"
 

@@ -10,6 +10,7 @@ from repro.sim.platform import (
     GEM5_X86_8CORE,
     X86_DESKTOP,
     Platform,
+    model_for_register_width,
     platform_for_isa,
 )
 
@@ -28,5 +29,6 @@ __all__ = [
     "TraceEvent",
     "UniformModel",
     "X86_DESKTOP",
+    "model_for_register_width",
     "platform_for_isa",
 ]

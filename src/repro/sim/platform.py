@@ -80,3 +80,14 @@ def platform_for_isa(isa: str) -> Platform:
     if isa == "arm":
         return ARM_BIG_LITTLE
     raise ValueError("no platform for ISA %r" % (isa,))
+
+
+def model_for_register_width(register_width: int) -> MemoryModel:
+    """The memory model a signature register width implies.
+
+    Host-side checking, linting and serving fall back to it when no
+    model is given (the io.py dump convention): 64-bit signatures come
+    from the x86-TSO platform, any other width from the ARM weak one.
+    """
+    return platform_for_isa(
+        "x86" if register_width == 64 else "arm").memory_model

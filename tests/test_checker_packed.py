@@ -7,9 +7,8 @@ witness cycles, ``sorted_vertices`` accounting — and the same delta
 work counts (``digits_changed``, ``edges_added``, ``edges_removed``)
 as both ``CollectiveChecker.check_deltas`` and the legacy
 ``CollectiveChecker.check``.  These tests enforce that contract on
-real, violating and hand-rolled campaigns, on both array backends,
-plus the plan-compilation invariants (CSR universe, batched decode,
-similarity ordering) and the runner/serve wiring.
+real, violating and hand-rolled campaigns, plus the plan-compilation
+invariants (CSR universe, block decode) and the runner/serve wiring.
 
 The campaign/report helpers live in :mod:`tests.differential` so the
 delta, packed and poly suites all exercise the same fixture.
@@ -19,7 +18,6 @@ import pytest
 
 from repro import obs
 from repro.checker import CollectiveChecker, PackedChecker, PackedPlan
-from repro.checker.packed import default_backend
 from repro.errors import CheckerError, SignatureError
 from repro.graph import GraphBuilder
 from repro.harness import Campaign, check_campaign_result
@@ -28,8 +26,6 @@ from repro.mcm import get_model
 from repro.sim import OperationalExecutor, platform_for_isa
 from repro.testgen import TestConfig, generate
 from tests.differential import (
-    BACKENDS,
-    HAVE_NUMPY,
     packed_report,
     reference_reports,
     run_unique_signatures,
@@ -50,20 +46,7 @@ class TestPlanConstruction:
         with pytest.raises(CheckerError):
             PackedPlan(small_codec, builder, [])
 
-    def test_rejects_unknown_backend(self, small_program, small_codec):
-        builder = GraphBuilder(small_program, get_model("weak"),
-                               ws_mode="static")
-        with pytest.raises(CheckerError):
-            PackedPlan(small_codec, builder, [], backend="cupy")
-
-    def test_default_backend_honours_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PACKED_BACKEND", "array")
-        assert default_backend() == "array"
-        monkeypatch.delenv("REPRO_PACKED_BACKEND")
-        assert default_backend() in ("numpy", "array")
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_corrupt_signature_rejected(self, backend):
+    def test_corrupt_signature_rejected(self):
         cfg = TestConfig(isa="arm", threads=2, ops_per_thread=10,
                          addresses=4, seed=4)
         program, codec, signatures = run_unique_signatures(cfg, 40)
@@ -74,43 +57,35 @@ class TestPlanConstruction:
             tuple(w + 10 ** 9 for w in tw) if t == 0 else tw
             for t, tw in enumerate(sig.words))
         with pytest.raises(SignatureError):
-            PackedPlan(codec, builder, signatures + [Signature(bad_words)],
-                       backend=backend)
+            PackedPlan(codec, builder, signatures + [Signature(bad_words)])
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mismatched_shape_rejected(self, backend, small_program,
-                                       small_codec):
+    def test_mismatched_shape_rejected(self, small_program, small_codec):
         builder = GraphBuilder(small_program, get_model("weak"),
                                ws_mode="static")
         with pytest.raises(SignatureError):
-            PackedPlan(small_codec, builder, [Signature(((1,),))],
-                       backend=backend)
+            PackedPlan(small_codec, builder, [Signature(((1,),))])
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_block(self, backend, small_program, small_codec):
+    def test_empty_block(self, small_program, small_codec):
         builder = GraphBuilder(small_program, get_model("weak"),
                                ws_mode="static")
-        plan = PackedPlan(small_codec, builder, [], backend=backend)
+        plan = PackedPlan(small_codec, builder, [])
         assert len(plan) == 0
-        assert plan.similarity["signatures"] == 0
+        assert plan.digits_changed_total == 0
         report = PackedChecker().check(plan)
         assert report.num_graphs == 0
         assert report.summary() == CollectiveChecker().check([]).summary()
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs both backends")
-    def test_backends_compile_identical_plans(self):
-        cfg = TestConfig(isa="arm", threads=2, ops_per_thread=20,
-                         addresses=8, seed=6)
-        program, codec, signatures = run_unique_signatures(cfg, 120)
-        builder = GraphBuilder(program, get_model("weak"), ws_mode="static")
-        plans = [PackedPlan(codec, builder, signatures, backend=b)
-                 for b in BACKENDS]
-        a, b = plans
-        assert a._digit_rows == b._digit_rows
-        assert list(a.rem_flat) == list(b.rem_flat)
-        assert list(a.add_flat) == list(b.add_flat)
-        assert a.bucket_order == b.bucket_order
-        assert a.similarity == b.similarity
+    def test_single_signature_block(self, small_program, small_codec):
+        builder = GraphBuilder(small_program, get_model("weak"),
+                               ws_mode="static")
+        executor = OperationalExecutor(small_program, get_model("weak"),
+                                       platform_for_isa("arm"), seed=1)
+        sig = small_codec.encode(next(iter(executor.run(1))).rf)
+        plan = PackedPlan(small_codec, builder, [sig])
+        assert plan.digits_changed_total == 0
+        report = PackedChecker().check(plan)
+        assert report.num_graphs == 1
+        assert not report.violations
 
     def test_full_graph_matches_legacy_build(self):
         cfg = TestConfig(isa="x86", threads=2, ops_per_thread=15,
@@ -124,62 +99,21 @@ class TestPlanConstruction:
                 builder.build(codec.decode(signatures[index])).adjacency
 
 
-class TestSimilarityOrdering:
-    def test_bucket_order_is_permutation(self):
-        cfg = TestConfig(isa="arm", threads=2, ops_per_thread=20,
-                         addresses=8, seed=6)
-        program, codec, signatures = run_unique_signatures(cfg, 150)
-        builder = GraphBuilder(program, get_model("weak"), ws_mode="static")
-        plan = PackedPlan(codec, builder, signatures)
-        assert sorted(plan.bucket_order) == list(range(len(signatures)))
-
-    def test_bucket_order_reduces_transitions(self):
-        # the greedy chain may only tie the sorted order on degenerate
-        # blocks; on a real campaign it must not be worse
-        cfg = TestConfig(isa="arm", threads=3, ops_per_thread=30,
-                         addresses=8, seed=11)
-        program, codec, signatures = run_unique_signatures(cfg, 300)
-        builder = GraphBuilder(program, get_model("weak"), ws_mode="static")
-        plan = PackedPlan(codec, builder, signatures)
-        similarity = plan.similarity
-        assert similarity["signatures"] == len(signatures)
-        assert similarity["bucket_digits_changed"] <= \
-            similarity["sorted_digits_changed"]
-
-    def test_single_signature_block(self, small_program, small_codec):
-        builder = GraphBuilder(small_program, get_model("weak"),
-                               ws_mode="static")
-        program = small_program
-        platform = platform_for_isa("arm")
-        executor = OperationalExecutor(program, get_model("weak"), platform,
-                                       seed=1)
-        sig = small_codec.encode(next(iter(executor.run(1))).rf)
-        plan = PackedPlan(small_codec, builder, [sig])
-        assert plan.bucket_order == [0]
-        assert plan.similarity["bucket_digits_changed"] == 0
-        report = PackedChecker().check(plan)
-        assert report.num_graphs == 1
-        assert not report.violations
-
-
 class TestThreeWayParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("isa", ["arm", "x86"])
-    def test_real_campaign_parity(self, isa, backend):
+    def test_real_campaign_parity(self, isa):
         cfg = TestConfig(isa=isa, threads=2, ops_per_thread=40,
                          addresses=16, seed=3)
         program, codec, signatures = run_unique_signatures(cfg, 400)
         model = platform_for_isa(isa).memory_model
         legacy, delta = reference_reports(program, codec, signatures, model)
-        packed, plan = packed_report(program, codec, signatures, model,
-                                     backend)
+        packed, plan = packed_report(program, codec, signatures, model)
         assert packed.summary() == delta.summary() == legacy.summary()
         assert (packed.digits_changed, packed.edges_added,
                 packed.edges_removed) == \
                (delta.digits_changed, delta.edges_added, delta.edges_removed)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_violating_campaign_parity(self, backend):
+    def test_violating_campaign_parity(self):
         """ARM weak executions checked against SC: genuine violations
         must flow through the packed windowed path with witness cycles
         identical to both reference checkers'."""
@@ -189,15 +123,14 @@ class TestThreeWayParity:
         legacy, delta = reference_reports(program, codec, signatures,
                                           get_model("sc"))
         packed, plan = packed_report(program, codec, signatures,
-                                     get_model("sc"), backend)
+                                     get_model("sc"))
         assert len(legacy.violations) > 0
         assert packed.summary() == delta.summary() == legacy.summary()
         for mine, theirs in zip(packed.verdicts, legacy.verdicts):
             assert (mine.violation, mine.cycle) == \
                 (theirs.violation, theirs.cycle)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_initial_key_parity(self, backend):
+    def test_initial_key_parity(self):
         cfg = TestConfig(isa="arm", threads=2, ops_per_thread=25,
                          addresses=8, seed=5)
         program, codec, signatures = run_unique_signatures(cfg, 150)
@@ -206,8 +139,7 @@ class TestThreeWayParity:
         graphs = [builder.build(codec.decode(sig)) for sig in signatures]
         legacy = CollectiveChecker(initial_key=key).check(graphs)
         packed, plan = packed_report(program, codec, signatures,
-                                     get_model("weak"), backend,
-                                     initial_key=key)
+                                     get_model("weak"), initial_key=key)
         assert packed.summary() == legacy.summary()
 
     def test_precompiled_base_order_used_without_key(self):
@@ -281,8 +213,6 @@ class TestRunnerWiring:
             report.digits_changed
         assert metrics.gauge("checker.packed.edge_universe").value == \
             outcome.source.num_edges
-        assert metrics.gauge("checker.packed.bucket_digits_changed").value \
-            == outcome.source.similarity["bucket_digits_changed"]
 
 
 class TestStreamFinalizeWiring:

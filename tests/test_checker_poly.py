@@ -1,13 +1,15 @@
 """The poly pipeline: frontier-closure verification and its wiring.
 
-Unit coverage for :mod:`repro.checker.poly` and the dispatcher:
-rule-level equivalence against the independent feasible oracle on
-exhaustively enumerable litmus outcome spaces, witness-cycle validity,
-the four-way differential contract on real and violating campaigns
-(via :mod:`tests.differential` — the shared fixture of the packed and
-delta suites), the runner/stream wiring of ``--check-pipeline poly``
-and ``auto``, and the cost-model dispatcher's invariants.
+Unit coverage for :mod:`repro.checker.poly`: rule-level equivalence
+against the independent feasible oracle on exhaustively enumerable
+litmus outcome spaces, witness-cycle validity, the four-way
+differential contract on real and violating campaigns (via
+:mod:`tests.differential` — the shared fixture of the packed and delta
+suites), the runner/stream wiring of ``--check-pipeline poly`` and the
+``--cross-check poly`` verdict table.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,9 +19,12 @@ from repro.checker import (
     PolyChecker,
     PolySignatureSource,
     PolyVerifier,
-    choose_pipeline,
-    estimate_costs,
     violation_digest,
+)
+from repro.checker.polycross import (
+    POLY_FALSE_ALARM,
+    POLY_MISS,
+    cross_check_poly,
 )
 from repro.checker.results import COMPLETE
 from repro.feasible import FeasibilityOracle
@@ -28,7 +33,7 @@ from repro.harness import Campaign, check_campaign_result
 from repro.instrument import SignatureCodec
 from repro.mcm import get_model
 from repro.sim import platform_for_isa
-from repro.testgen import TestConfig, generate
+from repro.testgen import TestConfig
 from repro.testgen.litmus import all_litmus_tests
 from tests.differential import (
     assert_differential_contract,
@@ -280,17 +285,6 @@ class TestRunnerWiring:
         assert metrics.counter("checker.poly.dynamic_pairs").value == \
             outcome.source.stats["dynamic_pairs"]
 
-    def test_auto_resolves_and_agrees(self, campaign_result):
-        campaign, result = campaign_result
-        auto = check_campaign_result(result, campaign.model,
-                                     pipeline="auto")
-        delta = check_campaign_result(result, campaign.model,
-                                      pipeline="delta")
-        assert auto.pipeline in ("graphs", "delta", "packed", "poly")
-        assert auto.pipeline != "auto"
-        assert violation_digest(auto.collective) == \
-            violation_digest(delta.collective)
-
 
 class TestStreamFinalizeWiring:
     @pytest.fixture()
@@ -310,32 +304,47 @@ class TestStreamFinalizeWiring:
         assert violation_digest(fed_checker.finalize(pipeline="poly")) == \
             violation_digest(fed_checker.finalize())
 
-    def test_finalize_auto_matches_delta_summary(self, fed_checker):
-        # auto resolves within the graph family (poly never wins the
-        # cost model), so full byte parity must hold
-        assert fed_checker.finalize(pipeline="auto").summary() == \
-            fed_checker.finalize().summary()
 
+class TestPolyCrossCheckCells:
+    """The two disagreement rows of the ``--cross-check poly`` table.
 
-class TestDispatch:
-    def test_observed_ws_forces_graphs(self):
-        assert choose_pipeline(100, 100, ws_mode="observed") == "graphs"
+    A clean campaign only ever reaches ``agree-clean``, so the rows
+    that flip the exit code are driven with a stand-in outcome whose
+    checker verdicts contradict the feasible oracle's ground truth on
+    the MP litmus test under TSO.
+    """
 
-    def test_empty_block_stays_delta(self):
-        assert choose_pipeline(0, 500) == "delta"
+    @pytest.fixture(scope="class")
+    def mp(self):
+        [program] = [lt.program for lt in all_litmus_tests()
+                     if lt.name == "MP"]
+        codec = SignatureCodec(program, 64)
+        model = get_model("tso")
+        oracle = FeasibilityOracle(program, model)
+        outcomes = [(rf, oracle.is_feasible(rf)) for rf in every_rf(codec)]
+        member = next(rf for rf, ok in outcomes if ok)
+        forbidden = next(rf for rf, ok in outcomes if not ok)
+        result = SimpleNamespace(program=program, codec=codec)
+        return (result, model, codec.encode(member), codec.encode(forbidden))
 
-    def test_small_blocks_pick_delta(self):
-        assert choose_pipeline(2, 40) == "delta"
+    @staticmethod
+    def _outcome(signature, checker_violation):
+        flagged = [SimpleNamespace(index=0)] if checker_violation else []
+        return SimpleNamespace(signatures=[signature],
+                               collective=SimpleNamespace(violations=flagged))
 
-    def test_large_blocks_pick_packed(self):
-        assert choose_pipeline(500, 400) == "packed"
+    def test_checker_flags_feasible_signature_is_poly_miss(self, mp):
+        result, model, member, _ = mp
+        xc = cross_check_poly(result, self._outcome(member, True), model)
+        assert xc.count(POLY_MISS) == 1
+        assert not xc.agreement
+        assert xc.summary_json()["poly_miss"] == 1
+        assert "DISAGREEMENT [poly-miss] signature #0" in xc.render()
 
-    def test_poly_is_never_the_fast_path(self):
-        for signatures in (1, 10, 100, 1000):
-            for vertices in (10, 100, 1000):
-                assert choose_pipeline(signatures, vertices) != "poly"
-
-    def test_costs_cover_every_batch_backend(self):
-        costs = estimate_costs(10, 100)
-        assert sorted(costs) == ["delta", "packed", "poly"]
-        assert all(c > 0 for c in costs.values())
+    def test_checker_passes_forbidden_signature_is_false_alarm(self, mp):
+        result, model, _, forbidden = mp
+        xc = cross_check_poly(result, self._outcome(forbidden, False), model)
+        assert xc.count(POLY_FALSE_ALARM) == 1
+        assert [v.index for v in xc.poly_violations] == [0]
+        assert not xc.agreement
+        assert xc.summary_json()["poly_false_alarm"] == 1

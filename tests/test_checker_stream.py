@@ -112,3 +112,12 @@ class TestFinalize:
         report = checker.finalize(signatures)
         assert report.summary() == \
             _batch_report(codec, builder, signatures).summary()
+
+    @pytest.mark.parametrize("pipeline", ("graphs", "auto", "deltas"))
+    def test_finalize_rejects_pipelines_outside_the_registry(
+            self, campaign_signatures, pipeline):
+        codec, builder, signatures = campaign_signatures
+        checker = StreamingCollectiveChecker(codec, builder)
+        checker.feed(signatures[0])
+        with pytest.raises(CheckerError):
+            checker.finalize(pipeline=pipeline)

@@ -417,26 +417,45 @@ class TestFeasibleCLI:
 class TestCrossCheckCLI:
     RUN = ["run", "--isa", "x86", "--threads", "2", "--ops", "8",
            "--addresses", "4", "--iterations", "60"]
+    #: per oracle: its render header, and the summary keys it adds to
+    #: the verdict-table counts both oracles report
+    ORACLES = {
+        "feasible": ("cross-check (feasible oracle, tso)",
+                     {"checker_miss", "checker_false_alarm", "out_of_set",
+                      "feasible", "exhaustive", "coverage"}),
+        "poly": ("cross-check (poly closure, tso)",
+                 {"poly_miss", "poly_false_alarm", "poly_violations"}),
+    }
+    SHARED_KEYS = {"model", "signatures", "agree_clean", "agree_violation",
+                   "agreement"}
 
-    def test_run_cross_check_agrees(self, capsys):
-        assert main(self.RUN + ["--cross-check", "feasible"]) == 0
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_run_cross_check_agrees(self, capsys, oracle):
+        assert main(self.RUN + ["--cross-check", oracle]) == 0
         out = capsys.readouterr().out
-        assert "cross-check (feasible oracle, tso)" in out
+        assert self.ORACLES[oracle][0] in out
         assert "verdict: AGREE" in out
 
-    def test_run_json_summary_carries_cross_check(self, capsys):
-        assert main(self.RUN + ["--cross-check", "feasible", "--json"]) == 0
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_run_json_summary_carries_cross_check(self, capsys, oracle):
+        assert main(self.RUN + ["--cross-check", oracle, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         xc = report["summary"]["cross_check"]
+        assert set(xc) == self.SHARED_KEYS | self.ORACLES[oracle][1]
         assert xc["agreement"] is True
-        assert xc["out_of_set"] == 0
+        assert xc["model"] == "tso"
+        assert xc["agree_clean"] == xc["signatures"] > 0
+        flagged = "out_of_set" if oracle == "feasible" else "poly_violations"
+        assert xc[flagged] == 0
 
-    def test_check_cross_check(self, capsys, tmp_path):
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_check_cross_check(self, capsys, tmp_path, oracle):
         dump = str(tmp_path / "d.json")
         assert main(self.RUN + ["-o", dump]) == 0
         capsys.readouterr()
-        assert main(["check", dump, "--cross-check", "feasible"]) == 0
+        assert main(["check", dump, "--cross-check", oracle]) == 0
         out = capsys.readouterr().out
+        assert self.ORACLES[oracle][0] in out
         assert "verdict: AGREE" in out
 
     def test_mutate_cross_check_channel(self, capsys):

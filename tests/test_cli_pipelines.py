@@ -33,11 +33,10 @@ def commands():
 
 class TestRegistry:
     def test_registry_shape(self):
-        assert PIPELINES == ("graphs", "delta", "packed", "poly", "auto")
+        assert PIPELINES == ("graphs", "delta", "packed", "poly")
         # serve sessions stream deltas; the batch-only graphs pipeline
         # cannot finalize a stream
-        assert set(SERVE_PIPELINES) <= set(PIPELINES)
-        assert "poly" in SERVE_PIPELINES and "auto" in SERVE_PIPELINES
+        assert SERVE_PIPELINES == ("delta", "packed", "poly")
         assert CROSS_CHECKS == ("feasible", "poly")
 
 
@@ -84,9 +83,10 @@ class TestParsing:
         assert args.cross_check == "poly"
 
     def test_run_rejects_unknown_pipeline(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "--check-pipeline", "polynomial"])
+        for name in ("polynomial", "auto"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["run", "--check-pipeline", name])
+            assert exc.value.code == 2, name
 
     def test_serve_rejects_batch_only_graphs(self):
         with pytest.raises(SystemExit):

@@ -102,20 +102,7 @@ class TestSortCostModel:
 
     def test_defaults_pinned(self):
         m = SortCostModel()
-        assert (m.cycles_per_comparison, m.word_compare_cost,
-                m.bucket_touch_cost) == (22.0, 2.0, 6.0)
-
-    def test_bucket_insert_cost_pinned(self):
-        # tree-size independent: one touch + one compare per word
-        m = SortCostModel()
-        assert m.bucket_insert_cost(4) == 4 * (6.0 + 2.0)
-        assert m.bucket_insert_cost(1) == 8.0
-        # degenerate zero-word signatures still pay one slot
-        assert m.bucket_insert_cost(0) == 8.0
-
-    def test_bucket_insert_cheaper_than_tree_for_large_trees(self):
-        m = SortCostModel()
-        assert m.bucket_insert_cost(4) < m.insert_cost(1000, 4)
+        assert (m.cycles_per_comparison, m.word_compare_cost) == (22.0, 2.0)
 
 
 class TestReporting:
