@@ -12,7 +12,6 @@ from repro.checker.poly import (
     PolyVerifier,
     violation_digest,
 )
-from repro.checker.polycross import PolyCrossCheckReport, cross_check_poly
 from repro.checker.results import (
     COMPLETE,
     INCREMENTAL,
@@ -37,11 +36,9 @@ __all__ = [
     "PackedChecker",
     "PackedPlan",
     "PolyChecker",
-    "PolyCrossCheckReport",
     "PolySignatureSource",
     "PolyVerifier",
     "SignatureDeltaSource",
-    "cross_check_poly",
     "minimize_violation",
     "Verdict",
     "describe_cycle",

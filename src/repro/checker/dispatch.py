@@ -13,5 +13,5 @@ PIPELINES = ("graphs", "delta", "packed", "poly")
 #: pipelines the streaming daemon can finalize with (the legacy graphs
 #: path never streams: it materializes every graph up front)
 SERVE_PIPELINES = ("delta", "packed", "poly")
-#: dynamic cross-oracles `--cross-check` can run after checking
-CROSS_CHECKS = ("feasible", "poly")
+#: cross-oracles `--cross-check` can run after checking
+CROSS_CHECKS = ("feasible",)

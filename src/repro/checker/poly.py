@@ -28,13 +28,18 @@ families deciding the same predicate by different means
 (the RealityCheck posture — confidence comes from independent oracles
 agreeing, and a disagreement localizes a checker bug to one family).
 
-The ordering rules are re-derived here from the program and the model
-alone, mirroring :class:`repro.feasible.enumerator.FeasibilityOracle`:
-shared ground truth is limited to :meth:`MemoryModel.ppo_edges` and the
-codec's candidate/weight-table metadata.  Where PR 8's ``feasible``
-oracle is *static* (enumerate the whole outcome space, bounded),
-this pipeline is *dynamic*: one closure per observed signature, exact
-at any program size — it scales past enumerable signature spaces.
+The ordering rules themselves are stated once, by
+:class:`repro.feasible.enumerator.FeasibilityOracle`: the verifier
+takes its static facts (:attr:`~FeasibilityOracle.static_pairs`) and
+its per-choice rf/fr facts (:meth:`~FeasibilityOracle.choice_pairs`)
+from an oracle instance and decides acyclicity by a different
+procedure — frontier closure where the oracle runs a depth-first cycle
+search.  Neither module derives anything from :mod:`repro.graph`, so
+the two stay independent of the graph family, which is the
+independence a cross-family disagreement needs.  Where the
+``feasible`` enumerator is *static* (enumerate the whole outcome
+space, bounded), this pipeline is *dynamic*: one closure per observed
+signature, exact at any program size.
 
 Family-specific statistics (``sorted_vertices``, verdict methods,
 re-sort windows) are meaningless here — nothing is ever sorted, every
@@ -42,7 +47,7 @@ verdict is ``complete`` with a zero window — so cross-family
 comparisons use :func:`violation_digest`, the (graphs, violating
 indices) projection both families share.  Witness cycles are
 reconstructed from the frontiers themselves
-(:meth:`PolyVerifier.witness_cycle`); a constraint graph is rebuilt
+(``PolyVerifier._witness_cycle``); a constraint graph is rebuilt
 only at display time, for :func:`repro.checker.results.describe_cycle`.
 """
 
@@ -52,8 +57,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.checker.results import COMPLETE, CheckReport, Verdict
+from repro.feasible.enumerator import FeasibilityOracle
 from repro.instrument.signature import SignatureCodec
-from repro.isa.instructions import INIT
 from repro.isa.program import TestProgram
 from repro.mcm.model import MemoryModel
 from repro.obs import get_obs
@@ -80,11 +85,12 @@ class ClosureOutcome:
 class PolyVerifier:
     """Frontier-closure verification for one (program, model) pair.
 
-    Derives the static-ws ordering rules from scratch — ppo facts from
-    the model, same-thread same-address store chains, per-choice rf/fr
-    facts — with its own bookkeeping (bitmask frontiers, a worklist
-    fixpoint) and no graph machinery, so it constitutes an independent
-    verdict oracle for the same predicate the graph family decides.
+    Takes the static-ws ordering rules — ppo facts from the model,
+    same-thread same-address store chains, per-choice rf/fr facts —
+    from a :class:`FeasibilityOracle` (:attr:`rules`) and closes them
+    with its own bookkeeping (bitmask frontiers, a worklist fixpoint)
+    and no graph machinery, so it decides the same predicate as the
+    graph family by an independent procedure.
 
     The static skeleton's closure is computed once at construction;
     :meth:`verify` copies it and folds in one execution's dynamic facts,
@@ -95,60 +101,17 @@ class PolyVerifier:
         self.program = program
         self.model = model
         self.num_ops = program.num_ops
-        pairs = []
-        for tp in program.threads:
-            for src, dst in model.ppo_edges(tp):
-                if src != dst:
-                    pairs.append((src, dst))
-        # statically-known coherence order, derived from scratch: program
-        # order among same-thread same-address stores, INIT before all
-        self._next_store: dict[int, int] = {}
-        self._first_stores: dict[int, list[int]] = {}
-        for tp in program.threads:
-            latest: dict[int, int] = {}
-            for op in tp.ops:
-                if not op.is_store:
-                    continue
-                prev = latest.get(op.addr)
-                if prev is not None:
-                    pairs.append((prev, op.uid))
-                    self._next_store[prev] = op.uid
-                else:
-                    self._first_stores.setdefault(op.addr, []).append(op.uid)
-                latest[op.addr] = op.uid
-        self.static_pairs: tuple = tuple(pairs)
+        #: the shared ordering rules (ppo, static ws, per-choice rf/fr)
+        self.rules = FeasibilityOracle(program, model)
+        self.static_pairs: tuple = self.rules.static_pairs
         successors: list[list[int]] = [[] for _ in range(self.num_ops)]
-        for u, v in pairs:
+        for u, v in self.static_pairs:
             successors[u].append(v)
         self._static_successors: list[tuple] = [tuple(s) for s in successors]
         frontiers = [0] * self.num_ops
         self._static_unions = self._close(
             frontiers, self._static_successors, range(self.num_ops))
         self._static_frontiers = frontiers
-
-    # -- ordering rules ---------------------------------------------------------------
-
-    def choice_pairs(self, load_uid: int, source) -> tuple:
-        """The ``before`` facts one reads-from choice induces.
-
-        INIT is coherence-first (the load precedes every thread's first
-        store to the address); a store source orders cross-thread rf
-        (store before load — same-thread forwarding carries no global
-        constraint, the paper's footnote 4) plus the from-read fact
-        (load before the source's coherence-next store).
-        """
-        load_op = self.program.op(load_uid)
-        if source == INIT:
-            return tuple((load_uid, st)
-                         for st in self._first_stores.get(load_op.addr, ()))
-        pairs = []
-        store_op = self.program.op(source)
-        if store_op.thread != load_op.thread:
-            pairs.append((source, load_uid))
-        follower = self._next_store.get(source)
-        if follower is not None:
-            pairs.append((load_uid, follower))
-        return tuple(pairs)
 
     # -- closure ----------------------------------------------------------------------
 
@@ -183,10 +146,11 @@ class PolyVerifier:
 
     def verify(self, rf: dict) -> ClosureOutcome:
         """Close one decoded execution's facts; verdict plus witness."""
+        choice_pairs = self.rules.choice_pairs
         dynamic: dict[int, list[int]] = {}
         dynamic_pairs = 0
         for load_uid in sorted(rf):
-            for u, v in self.choice_pairs(load_uid, rf[load_uid]):
+            for u, v in choice_pairs(load_uid, rf[load_uid]):
                 dynamic.setdefault(u, []).append(v)
                 dynamic_pairs += 1
         static_successors = self._static_successors

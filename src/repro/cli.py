@@ -49,16 +49,15 @@ fault plane (or detailed-simulator bug) on the campaign being run.
 campaign on the same analyses (skip statically wasted iterations, or
 abort on lint errors).
 
-``run``, ``check`` and ``mutate`` accept ``--cross-check
-{feasible,poly}`` to corroborate the constraint-graph checker against
-an independent oracle.  ``feasible`` (:mod:`repro.feasible`) tests
-each observed signature's membership in the statically enumerated
-feasible set; ``poly`` (:mod:`repro.checker.poly`) re-verifies each
-observed signature with the frontier-closure algorithm family — exact
-at any program size, never sampled.  A miss the checker passed is a
-hardware bug; an oracle/checker disagreement is a checker bug — either
-flips ``run``/``check`` to exit 1 and fires the matching ``mutate``
-detection channel.
+``run``, ``check`` and ``mutate`` accept ``--cross-check feasible``
+to corroborate the constraint-graph checker against the independent
+feasibility oracle (:mod:`repro.feasible`), which decides each observed
+signature exactly — decode, derive the ordering facts, one acyclicity
+test — and enumerates the static feasible set for coverage.  A
+signature the oracle rejects but the checker passed is a hardware bug;
+an oracle/checker disagreement flips ``run``/``check`` to exit 1, and
+an oracle rejection fires the ``mutate`` ``feasible`` detection
+channel.
 
 ``run``, ``check`` and ``litmus`` accept ``--metrics-out PATH`` to write
 a schema-versioned run report (metrics registry snapshot + phase span
@@ -78,7 +77,7 @@ from repro import obs as repro_obs
 from repro.errors import ReproError
 from repro.checker import CROSS_CHECKS, PIPELINES, SERVE_PIPELINES, describe_cycle
 from repro.harness import Campaign, SuiteRunner, check_campaign_result, format_table
-from repro.feasible.enumerator import DEFAULT_BUDGET, DEFAULT_SAMPLES
+from repro.feasible import DEFAULT_BUDGET, DEFAULT_SAMPLES, cross_check_outcome
 from repro.instrument import SignatureCodec, code_size, emit_listing, intrusiveness
 from repro.isa.assembler import assemble, disassemble
 from repro.mcm import get_model
@@ -254,7 +253,7 @@ def _cmd_run(args) -> int:
         outcome = checker()
         summary["violations"] = len(outcome.collective.violations)
         if args.cross_check:
-            xc = _run_cross_check(args.cross_check, result, outcome, model)
+            xc = cross_check_outcome(result, outcome, model)
             summary["cross_check"] = xc.summary_json()
             if not args.json:
                 print(xc.render())
@@ -282,21 +281,6 @@ def _cmd_run(args) -> int:
     return exit_code
 
 
-def _run_cross_check(kind, result, outcome, model):
-    """Dispatch ``--cross-check`` to the selected independent oracle.
-
-    Both oracles return reports with the same surface (``summary_json``
-    / ``render`` / ``agreement``), so run/check handle them uniformly.
-    """
-    if kind == "poly":
-        from repro.checker import cross_check_poly
-
-        return cross_check_poly(result, outcome, model)
-    from repro.feasible import cross_check_outcome
-
-    return cross_check_outcome(result, outcome, model)
-
-
 def _cmd_check(args) -> int:
     handle = repro_obs.enable() if _metrics_wanted(args) else None
     result = repro_io.read_campaign(args.dump)
@@ -318,7 +302,7 @@ def _cmd_check(args) -> int:
                "violations": len(report.violations)}
     xc = None
     if args.cross_check:
-        xc = _run_cross_check(args.cross_check, result, outcome, config_model)
+        xc = cross_check_outcome(result, outcome, config_model)
         summary["cross_check"] = xc.summary_json()
         if not args.json:
             print(xc.render())
@@ -619,8 +603,7 @@ def _cmd_feasible(args) -> int:
             oracle = FeasibilityOracle(program, model)
             out_of_set = sum(
                 1 for sig in sorted(observed)
-                if not (sig in fset.signatures if fset.exhaustive
-                        else oracle.is_feasible(codec.decode(sig))))
+                if not oracle.is_feasible(codec.decode(sig)))
             out_of_set_total += out_of_set
             hits = len(observed) - out_of_set
             doc["observed"] = len(observed)
@@ -1196,15 +1179,13 @@ def _add_pipeline_argument(parser: argparse.ArgumentParser) -> None:
 def _add_cross_check_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cross-check", choices=CROSS_CHECKS, default=None,
                         help="corroborate the checker against an "
-                             "independent oracle: 'feasible' tests each "
-                             "observed signature's membership in the "
-                             "statically enumerated feasible set; 'poly' "
-                             "re-verifies each observed signature with the "
-                             "frontier-closure family (exact at any size, "
-                             "never sampled).  Misses the checker passed "
-                             "are hardware bugs; oracle/checker "
-                             "disagreements are checker bugs and flip the "
-                             "exit code")
+                             "independent oracle: 'feasible' decides each "
+                             "observed signature exactly by the static "
+                             "feasibility rules (decode, derive, one "
+                             "acyclicity test).  Infeasible signatures the "
+                             "checker passed are hardware bugs; "
+                             "oracle/checker disagreements are checker "
+                             "bugs and flip the exit code")
 
 
 def _add_lint_argument(parser: argparse.ArgumentParser) -> None:

@@ -1,9 +1,10 @@
 """Checker cross-oracle: observed signatures vs the static feasible set.
 
 Every unique signature a campaign observed is classified on two
-independent axes — *membership* in the static feasible set (the
-enumerator's exact per-signature test) and the constraint-graph
-checker's verdict for it — giving the four-way verdict table:
+independent axes — *membership* in the feasible set (the oracle's
+exact per-signature test, :meth:`FeasibilityOracle.is_feasible`) and
+the constraint-graph checker's verdict for it — giving the four-way
+verdict table:
 
 ========== =========== ====================================================
 member     violation   meaning
@@ -180,8 +181,9 @@ def cross_check_outcome(result, outcome, model=None, *,
         outcome: the matching :class:`CheckOutcome` (its ``signatures``
             order anchors violation indices).
         model: memory model; defaults to the register-width convention.
-        budget/samples/seed: enumeration bounds (membership of each
-            observed signature is always exact regardless).
+        budget/samples/seed: bounds of the enumeration behind the
+            coverage figures; membership of each observed signature is
+            always exact regardless.
     """
     if model is None:
         model = model_for_register_width(result.codec.register_width)
@@ -192,11 +194,9 @@ def cross_check_outcome(result, outcome, model=None, *,
                                   budget=budget, samples=samples, seed=seed)
         violating = {v.index for v in outcome.collective.violations}
         report = CrossCheckReport(result.program.name, model.name, fset)
+        decode = result.codec.decode
         for index, signature in enumerate(outcome.signatures):
-            if fset.exhaustive:
-                member = signature in fset.signatures
-            else:
-                member = oracle.is_feasible(result.codec.decode(signature))
+            member = oracle.is_feasible(decode(signature))
             report.verdicts.append(SignatureVerdict(
                 index, signature, member, index in violating))
     obs.emit("feasible.crosscheck", program=result.program.name,

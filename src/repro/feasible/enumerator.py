@@ -20,7 +20,11 @@ independent reimplementation of :mod:`repro.graph.builder` semantics
 (sharing only :meth:`MemoryModel.ppo_edges` and the candidate sets as
 ground truth): the enumerator and the graphs/delta checkers can
 genuinely disagree, which is what makes the cross-check a cross-oracle
-(ROADMAP item 3's disagreement contract) rather than a tautology.
+rather than a tautology.  :class:`FeasibilityOracle` is also where the
+non-graph family states its rules once: the ``poly`` pipeline
+(:class:`repro.checker.poly.PolyVerifier`) takes its static and
+per-choice facts from an oracle instance and decides acyclicity by
+frontier closure instead of this module's depth-first search.
 """
 
 from __future__ import annotations
@@ -88,6 +92,8 @@ class FeasibilityOracle:
     from the model, same-thread same-address store chains, cross-thread
     rf, fr to the coherence-next store — with its own bookkeeping and
     its own cycle detection, so it constitutes an independent oracle.
+    :attr:`static_pairs` and :meth:`choice_pairs` are the rules the
+    ``poly`` frontier closure shares.
     """
 
     def __init__(self, program: TestProgram, model: MemoryModel):
@@ -118,11 +124,16 @@ class FeasibilityOracle:
         self.static_pairs: tuple = tuple(pairs)
 
     def choice_pairs(self, load_uid: int, source) -> tuple:
-        """The (src, dst) ordering pairs one reads-from choice induces."""
+        """The (src, dst) ordering pairs one reads-from choice induces.
+
+        INIT is coherence-first (the load precedes every thread's first
+        store to the address); a store source orders cross-thread rf
+        (store before load — same-thread forwarding carries no global
+        constraint, the paper's footnote 4) plus the from-read fact
+        (load before the source's coherence-next store).
+        """
         load_op = self.program.op(load_uid)
         if source == INIT:
-            # INIT is coherence-first: the load precedes every thread's
-            # first store to the address
             return tuple((load_uid, st)
                          for st in self._first_stores.get(load_op.addr, ()))
         pairs = []

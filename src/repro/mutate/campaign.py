@@ -21,13 +21,11 @@ Detection channels, in the order they are consulted:
 2. ``assert`` — an observed rf source fell outside the instrumented
    candidate set, firing the compare/branch chain's assertion tail
    (paper Figure 4 "assert error"); free to test, no checking needed.
-3. ``feasible`` / ``poly`` — only with ``cross_check`` set: an
-   independent oracle flags an observed unique signature before the
-   graph checker runs.  ``cross_check="feasible"`` tests exact
-   membership in the statically enumerated feasible set
-   (:mod:`repro.feasible`); ``cross_check="poly"`` re-verifies each
-   signature with the frontier-closure algorithm family
-   (:mod:`repro.checker.poly`) — exact at any size, never sampled.
+3. ``feasible`` — only with ``cross_check`` set: the independent
+   feasibility oracle (:mod:`repro.feasible`) rejects an observed
+   unique signature before the graph checker runs.  Each signature is
+   decided exactly — decode, derive the ordering facts, one acyclicity
+   test — never sampled.
 4. ``violation`` — the collective checker found a constraint-graph
    cycle among the collected signatures (paper Section 3).
 
@@ -55,17 +53,17 @@ from repro.obs import get_obs
 
 #: detection channel names
 CRASH, ASSERT, VIOLATION = "crash", "assert", "violation"
-#: cross-oracle channels (active only with ``cross_check`` set)
-FEASIBLE, POLY = "feasible", "poly"
+#: cross-oracle channel (active only with ``cross_check`` set)
+FEASIBLE = "feasible"
 #: accepted ``cross_check`` selectors
-CROSS_CHECK_MODES = (FEASIBLE, POLY)
+CROSS_CHECK_MODES = (FEASIBLE,)
 
 
 def normalize_cross_check(cross_check):
     """Resolve a ``cross_check`` argument to an oracle name or None.
 
-    Accepts the historical booleans (``True`` meant the feasible
-    oracle) and the named selectors; anything else is a hard error so a
+    Accepts the historical booleans (``True`` means the feasible
+    oracle) and the named selector; anything else is a hard error so a
     typo cannot silently disable the cross-oracle.
     """
     if cross_check in (None, False):
@@ -98,9 +96,6 @@ class SeedOutcome:
     #: unique signatures outside the static feasible set (feasible
     #: cross-check campaigns only; stays 0 otherwise)
     out_of_feasible: int = 0
-    #: unique signatures the frontier closure flags (poly cross-check
-    #: campaigns only; stays 0 otherwise)
-    poly_flags: int = 0
 
     def to_json(self) -> dict:
         return {"seed": self.seed, "iterations": self.iterations,
@@ -110,8 +105,7 @@ class SeedOutcome:
                 "signature_asserts": self.signature_asserts,
                 "crashes": self.crashes,
                 "unique_signatures": self.unique_signatures,
-                "out_of_feasible": self.out_of_feasible,
-                "poly_flags": self.poly_flags}
+                "out_of_feasible": self.out_of_feasible}
 
 
 @dataclass
@@ -123,7 +117,7 @@ class DetectionOutcome:
     #: unique signatures of the unmutated control run (same config,
     #: first seed, full budget); None for crash-class mutations
     clean_unique_signatures: int = None
-    #: which cross-oracle channel was active ("feasible"/"poly"), or
+    #: which cross-oracle channel was active ("feasible"), or
     #: None/False when no cross-check ran
     cross_check: object = False
 
@@ -185,14 +179,12 @@ class SensitivityCampaign:
         control: also run the unmutated control campaign for the
             signature-diversity comparison (skipped for crash-class
             mutations, whose devices ship no signatures at all).
-        cross_check: also consult an independent oracle before the
-            graph checker.  ``"feasible"`` (or the historical ``True``)
-            tests each observed unique signature's membership in the
-            statically enumerated feasible set (:mod:`repro.feasible`);
-            ``"poly"`` re-verifies each signature with the
-            frontier-closure family (:mod:`repro.checker.poly`).  An
-            oracle flag detects the mutation on the matching channel.
-            Both verdicts are exact per signature, never sampled.
+        cross_check: also consult the independent feasibility oracle
+            (:mod:`repro.feasible`) before the graph checker.
+            ``"feasible"`` (or the historical ``True``) decides each
+            observed unique signature exactly, never sampled; an
+            infeasible signature detects the mutation on the
+            ``feasible`` channel.
     """
 
     def __init__(self, mutation, *, base_seed: int = 0, budget: int = None,
@@ -207,12 +199,10 @@ class SensitivityCampaign:
         self.jobs = jobs
         self.control = control and self.mutation.fault_class != "crash"
         self.cross_check = normalize_cross_check(cross_check)
-        #: lazy per-campaign state: both oracles are program/model-bound
+        #: lazy per-campaign state: the oracle is program/model-bound
         #: and per-signature verdicts are cached across re-inspections
         self._oracle = None
         self._membership: dict = {}
-        self._poly = None
-        self._poly_verdicts: dict = {}
 
     def run(self) -> DetectionOutcome:
         obs = get_obs()
@@ -283,12 +273,6 @@ class SensitivityCampaign:
                 out.detected, out.channel = True, FEASIBLE
                 out.executions_to_detection = executed
                 return True
-        if self.cross_check == POLY and merged.signature_counts:
-            out.poly_flags = self._count_poly_flags(merged, campaign.model)
-            if out.poly_flags:
-                out.detected, out.channel = True, POLY
-                out.executions_to_detection = executed
-                return True
         if merged.signature_counts:
             check = check_campaign_result(
                 merged, campaign.model, ws_mode=self.mutation.spec.ws_mode,
@@ -322,30 +306,6 @@ class SensitivityCampaign:
             if not verdict:
                 misses += 1
         return misses
-
-    def _count_poly_flags(self, merged, model) -> int:
-        """Unique signatures the frontier closure flags, cached.
-
-        Mirrors :meth:`_count_out_of_feasible` for the poly oracle: the
-        verifier is (program, model)-bound and per-signature closure
-        verdicts are memoized across cumulative re-inspections.  One
-        closure per new signature — exact, never enumerative, so this
-        channel scales to signature spaces ``feasible`` cannot bound.
-        """
-        from repro.checker.poly import PolyVerifier
-
-        if self._poly is None:
-            self._poly = PolyVerifier(merged.program, model)
-        decode = merged.codec.decode
-        flags = 0
-        for sig in merged.sorted_signatures():
-            verdict = self._poly_verdicts.get(sig)
-            if verdict is None:
-                verdict = self._poly.verify(decode(sig)).violation
-                self._poly_verdicts[sig] = verdict
-            if verdict:
-                flags += 1
-        return flags
 
     def _run_control(self) -> int:
         """Unmutated run of the same recipe, for the diversity baseline."""

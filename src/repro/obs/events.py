@@ -251,15 +251,6 @@ _kind("feasible.crosscheck", HOST,
       ("checker_false_alarms",
        "feasible signatures the checker flagged (checker bug)"),
       ("agreement", "True when no signature produced a disagreement"))
-_kind("poly.crosscheck", HOST,
-      "The poly frontier-closure oracle cross-checked one campaign's "
-      "observed signatures against a graph-family check outcome.",
-      ("program", "test program name"),
-      ("model", "memory model the closure ran under"),
-      ("signatures", "observed unique signatures classified"),
-      ("poly_violations", "signatures the frontier closure flags"),
-      ("disagreements", "signatures where the algorithm families differ"),
-      ("agreement", "True when no signature produced a disagreement"))
 
 
 class Event:

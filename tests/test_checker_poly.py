@@ -1,15 +1,13 @@
 """The poly pipeline: frontier-closure verification and its wiring.
 
-Unit coverage for :mod:`repro.checker.poly`: rule-level equivalence
-against the independent feasible oracle on exhaustively enumerable
-litmus outcome spaces, witness-cycle validity, the four-way
-differential contract on real and violating campaigns (via
-:mod:`tests.differential` — the shared fixture of the packed and delta
-suites), the runner/stream wiring of ``--check-pipeline poly`` and the
-``--cross-check poly`` verdict table.
+Unit coverage for :mod:`repro.checker.poly`: frontier closure against
+the feasible oracle's depth-first search over the shared rules on
+exhaustively enumerable litmus outcome spaces, witness-cycle validity,
+the four-way differential contract on real and violating campaigns
+(via :mod:`tests.differential` — the shared fixture of the packed and
+delta suites) and the runner/stream wiring of ``--check-pipeline
+poly``.
 """
-
-from types import SimpleNamespace
 
 import pytest
 
@@ -20,11 +18,6 @@ from repro.checker import (
     PolySignatureSource,
     PolyVerifier,
     violation_digest,
-)
-from repro.checker.polycross import (
-    POLY_FALSE_ALARM,
-    POLY_MISS,
-    cross_check_poly,
 )
 from repro.checker.results import COMPLETE
 from repro.feasible import FeasibilityOracle
@@ -48,9 +41,10 @@ _ENUMERABLE = 4096
 
 
 class TestVerifierRules:
-    """The frontier closure decides the same predicate as the feasible
-    oracle's graph-based membership test — proven by exhaustive
-    enumeration over every encodable litmus outcome."""
+    """Over the rules both share, the frontier closure decides the same
+    predicate as the feasible oracle's depth-first cycle search —
+    proven by exhaustive enumeration over every encodable litmus
+    outcome."""
 
     @pytest.mark.parametrize("model_name", ("sc", "tso", "weak"))
     def test_litmus_exhaustive_oracle_equivalence(self, model_name):
@@ -64,16 +58,6 @@ class TestVerifierRules:
             for rf in every_rf(codec):
                 assert oracle.is_feasible(rf) == \
                     (not verifier.verify(rf).violation), (lt.name, rf)
-
-    def test_choice_pairs_match_oracle(self, figure3_program):
-        model = get_model("tso")
-        oracle = FeasibilityOracle(figure3_program, model)
-        verifier = PolyVerifier(figure3_program, model)
-        codec = SignatureCodec(figure3_program, 64)
-        for load_uid, sources in sorted(codec.candidates.items()):
-            for source in sources:
-                assert sorted(verifier.choice_pairs(load_uid, source)) == \
-                    sorted(oracle.choice_pairs(load_uid, source))
 
     def test_static_skeleton_is_acyclic(self, small_program):
         verifier = PolyVerifier(small_program, get_model("weak"))
@@ -213,7 +197,7 @@ class TestFourWayContract:
         model = get_model("sc")
         _, delta = reference_reports(program, codec, signatures, model)
         verifier = PolyVerifier(program, model)
-        verifier._next_store = {}  # kill the from-read rule
+        verifier.rules._next_store = {}  # kill the from-read rule
         report, _ = poly_report(program, codec, signatures, model)
         report_digest = violation_digest(delta)
         crippled = [codec.decode(sig) for sig in signatures]
@@ -304,47 +288,3 @@ class TestStreamFinalizeWiring:
         assert violation_digest(fed_checker.finalize(pipeline="poly")) == \
             violation_digest(fed_checker.finalize())
 
-
-class TestPolyCrossCheckCells:
-    """The two disagreement rows of the ``--cross-check poly`` table.
-
-    A clean campaign only ever reaches ``agree-clean``, so the rows
-    that flip the exit code are driven with a stand-in outcome whose
-    checker verdicts contradict the feasible oracle's ground truth on
-    the MP litmus test under TSO.
-    """
-
-    @pytest.fixture(scope="class")
-    def mp(self):
-        [program] = [lt.program for lt in all_litmus_tests()
-                     if lt.name == "MP"]
-        codec = SignatureCodec(program, 64)
-        model = get_model("tso")
-        oracle = FeasibilityOracle(program, model)
-        outcomes = [(rf, oracle.is_feasible(rf)) for rf in every_rf(codec)]
-        member = next(rf for rf, ok in outcomes if ok)
-        forbidden = next(rf for rf, ok in outcomes if not ok)
-        result = SimpleNamespace(program=program, codec=codec)
-        return (result, model, codec.encode(member), codec.encode(forbidden))
-
-    @staticmethod
-    def _outcome(signature, checker_violation):
-        flagged = [SimpleNamespace(index=0)] if checker_violation else []
-        return SimpleNamespace(signatures=[signature],
-                               collective=SimpleNamespace(violations=flagged))
-
-    def test_checker_flags_feasible_signature_is_poly_miss(self, mp):
-        result, model, member, _ = mp
-        xc = cross_check_poly(result, self._outcome(member, True), model)
-        assert xc.count(POLY_MISS) == 1
-        assert not xc.agreement
-        assert xc.summary_json()["poly_miss"] == 1
-        assert "DISAGREEMENT [poly-miss] signature #0" in xc.render()
-
-    def test_checker_passes_forbidden_signature_is_false_alarm(self, mp):
-        result, model, _, forbidden = mp
-        xc = cross_check_poly(result, self._outcome(forbidden, False), model)
-        assert xc.count(POLY_FALSE_ALARM) == 1
-        assert [v.index for v in xc.poly_violations] == [0]
-        assert not xc.agreement
-        assert xc.summary_json()["poly_false_alarm"] == 1

@@ -418,13 +418,11 @@ class TestCrossCheckCLI:
     RUN = ["run", "--isa", "x86", "--threads", "2", "--ops", "8",
            "--addresses", "4", "--iterations", "60"]
     #: per oracle: its render header, and the summary keys it adds to
-    #: the verdict-table counts both oracles report
+    #: the shared verdict-table counts
     ORACLES = {
         "feasible": ("cross-check (feasible oracle, tso)",
                      {"checker_miss", "checker_false_alarm", "out_of_set",
                       "feasible", "exhaustive", "coverage"}),
-        "poly": ("cross-check (poly closure, tso)",
-                 {"poly_miss", "poly_false_alarm", "poly_violations"}),
     }
     SHARED_KEYS = {"model", "signatures", "agree_clean", "agree_violation",
                    "agreement"}
@@ -445,8 +443,7 @@ class TestCrossCheckCLI:
         assert xc["agreement"] is True
         assert xc["model"] == "tso"
         assert xc["agree_clean"] == xc["signatures"] > 0
-        flagged = "out_of_set" if oracle == "feasible" else "poly_violations"
-        assert xc[flagged] == 0
+        assert xc["out_of_set"] == 0
 
     @pytest.mark.parametrize("oracle", sorted(ORACLES))
     def test_check_cross_check(self, capsys, tmp_path, oracle):
@@ -468,8 +465,11 @@ class TestCrossCheckCLI:
         assert m["detected"] is True
 
     def test_cross_check_rejects_unknown_oracle(self, capsys):
-        with pytest.raises(SystemExit):
-            main(self.RUN + ["--cross-check", "nonsense"])
+        for command in (self.RUN, ["mutate"]):
+            for name in ("nonsense", "poly"):
+                with pytest.raises(SystemExit) as exc:
+                    main(command + ["--cross-check", name])
+                assert exc.value.code == 2, (command[0], name)
 
 
 class TestParser:

@@ -37,7 +37,7 @@ class TestRegistry:
         # serve sessions stream deltas; the batch-only graphs pipeline
         # cannot finalize a stream
         assert SERVE_PIPELINES == ("delta", "packed", "poly")
-        assert CROSS_CHECKS == ("feasible", "poly")
+        assert CROSS_CHECKS == ("feasible",)
 
 
 class TestCheckPipelineFlag:
@@ -77,10 +77,8 @@ class TestCrossCheckFlag:
 
 class TestParsing:
     def test_run_accepts_poly(self, commands):
-        args = build_parser().parse_args(
-            ["run", "--check-pipeline", "poly", "--cross-check", "poly"])
+        args = build_parser().parse_args(["run", "--check-pipeline", "poly"])
         assert args.check_pipeline == "poly"
-        assert args.cross_check == "poly"
 
     def test_run_rejects_unknown_pipeline(self):
         for name in ("polynomial", "auto"):

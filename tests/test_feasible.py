@@ -1,13 +1,14 @@
 """Unit tests for the static feasibility enumerator (repro.feasible)."""
 
 import itertools
+import json
+import pathlib
 
 import pytest
 
 from repro.feasible import (
     DEFAULT_BUDGET,
     FeasibilityOracle,
-    FeasibleSet,
     enumerate_feasible,
     signature_feasible,
 )
@@ -201,3 +202,31 @@ class TestMetrics:
         assert snap["feasible.enumerations"]["value"] == 1
         assert snap["feasible.outcomes"]["value"] == 3
         assert snap["feasible.prefixes_explored"]["value"] == 6
+
+
+class TestBenchSnapshot:
+    """``benchmarks/results/BENCH_feasible.json`` pins the enumerator's
+    set sizes and pruning counts; recompute its litmus tree exactly as
+    ``benchmarks/bench_feasible.py`` builds it."""
+
+    SNAPSHOT = (pathlib.Path(__file__).parent.parent / "benchmarks"
+                / "results" / "BENCH_feasible.json")
+
+    def test_litmus_tree_matches_committed_snapshot(self):
+        tree = {}
+        for lt in all_litmus_tests():
+            codec = SignatureCodec(lt.program, 64)
+            per_model = {}
+            for model_name in ("sc", "tso", "weak"):
+                fset = enumerate_feasible(lt.program, get_model(model_name),
+                                          codec=codec)
+                assert fset.exhaustive
+                per_model[model_name] = {
+                    "cardinality": fset.cardinality,
+                    "feasible": len(fset.signatures),
+                    "prefixes_explored": fset.prefixes_explored,
+                    "assignments_pruned": fset.assignments_pruned,
+                    "pruning_factor": round(fset.pruning_factor, 4),
+                }
+            tree[lt.name] = per_model
+        assert tree == json.loads(self.SNAPSHOT.read_text())["litmus"]

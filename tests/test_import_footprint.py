@@ -1,13 +1,23 @@
-"""Importing the library's entry points loads no numpy.
+"""What the library's modules import.
 
-Every checking pipeline is pure Python, so a user's ``repro`` invocation
-should not pay numpy's import time and memory.  Only the Fig. 6 analysis
-helpers use numpy, and they import it inside the functions that need it.
-The check runs in a fresh interpreter: this test process has usually
-imported numpy already through other suites.
+Importing the entry points loads no numpy.  Every checking pipeline is
+pure Python, so a user's ``repro`` invocation should not pay numpy's
+import time and memory.  Only the Fig. 6 analysis helpers use numpy,
+and they import it inside the functions that need it.  The check runs
+in a fresh interpreter: this test process has usually imported numpy
+already through other suites.
+
+The non-graph oracle family imports no graph module.  The feasibility
+enumerator and the poly frontier closure decide acyclicity without a
+constraint graph; a disagreement with the graph family is evidence
+only while neither of them uses ``repro.graph``.  The one exception is
+display-only: ``PolySignatureSource.full_graph`` rebuilds a graph to
+render a witness cycle.
 """
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -29,3 +39,45 @@ def test_entry_points_import_without_numpy():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+#: the non-graph oracle family, relative to the package directory
+NON_GRAPH_FAMILY = ("feasible/enumerator.py", "checker/poly.py")
+
+
+def _graph_imports(path):
+    """(enclosing scope, inside a function) of each ``repro.graph`` import."""
+    hits = []
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,), True)
+                continue
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + (child.name,), in_function)
+                continue
+            names = []
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.module:
+                names = [child.module] + ["%s.%s" % (child.module, alias.name)
+                                          for alias in child.names]
+            if any(name == "repro.graph" or name.startswith("repro.graph.")
+                   for name in names):
+                hits.append((".".join(scope), in_function))
+            visit(child, scope, in_function)
+
+    visit(ast.parse(path.read_text()), (), False)
+    return hits
+
+
+def test_non_graph_family_imports_no_graph_module():
+    package = pathlib.Path(repro.__file__).parent
+    module_level, in_functions = [], []
+    for relative in NON_GRAPH_FAMILY:
+        for scope, in_function in _graph_imports(package / relative):
+            (in_functions if in_function else module_level).append(
+                (relative, scope))
+    assert module_level == []
+    assert in_functions == [("checker/poly.py", "PolySignatureSource.full_graph")]

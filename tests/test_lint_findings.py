@@ -3,7 +3,6 @@
 import pytest
 
 from repro.lint import LintReport, Severity, all_rules, get_rule
-from repro.lint.findings import Finding
 from repro.lint.rules import finding, rules_markdown, rules_table
 
 

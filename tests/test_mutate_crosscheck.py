@@ -1,9 +1,9 @@
-"""The cross-oracle detection channels of the sensitivity campaigns.
+"""The cross-oracle detection channel of the sensitivity campaigns.
 
-``cross_check="feasible"`` consults the static membership oracle,
-``cross_check="poly"`` the frontier-closure family; both fire before
-the graph checker and both must flag the signature-corrupting gem5
-bugs without false-firing on clean campaigns.
+``cross_check="feasible"`` consults the feasibility oracle's exact
+per-signature test before the graph checker; it must flag the
+signature-corrupting gem5 bugs without false-firing on clean
+campaigns.
 """
 
 import pytest
@@ -11,7 +11,6 @@ import pytest
 from repro.mutate.campaign import (
     CRASH,
     FEASIBLE,
-    POLY,
     SensitivityCampaign,
     normalize_cross_check,
     run_sensitivity_suite,
@@ -24,11 +23,11 @@ class TestNormalization:
         assert normalize_cross_check(False) is None
         assert normalize_cross_check(True) == FEASIBLE
         assert normalize_cross_check("feasible") == FEASIBLE
-        assert normalize_cross_check("poly") == POLY
 
     def test_typo_is_a_hard_error(self):
-        with pytest.raises(ValueError):
-            normalize_cross_check("polynomial")
+        for name in ("polynomial", "poly"):
+            with pytest.raises(ValueError):
+                normalize_cross_check(name)
 
 
 class TestChannelPlumbing:
@@ -86,44 +85,6 @@ class TestGem5Bugs:
         assert out.detected
         assert out.channels == [CRASH]
         assert all(s.out_of_feasible == 0 for s in out.seeds)
-
-
-class TestPolyChannel:
-    """The dynamic cross-oracle: same contract as the feasible channel,
-    decided by the independent frontier-closure family instead of set
-    membership (exact at any size, never enumerative)."""
-
-    def test_operational_mutation_with_poly_cross_check(self):
-        out = SensitivityCampaign("tso-sb-reorder", seeds=1, control=False,
-                                  cross_check="poly").run()
-        assert out.cross_check == POLY
-        assert out.detected
-        for s in out.seeds:
-            if s.channel == POLY:
-                assert s.poly_flags > 0
-            else:
-                assert s.poly_flags == 0
-
-    def test_protocol_squash_detected_by_closure(self):
-        out = SensitivityCampaign("gem5-protocol-squash", seeds=1,
-                                  control=False, cross_check="poly").run()
-        assert out.detected
-        assert out.channels == [POLY]
-        assert out.seeds[0].poly_flags >= 1
-
-    def test_lsq_squash_detected_by_closure(self):
-        out = SensitivityCampaign("gem5-lsq-squash", seeds=1,
-                                  control=False, cross_check="poly").run()
-        assert out.detected
-        assert POLY in out.channels
-        assert out.seeds[0].poly_flags >= 1
-
-    def test_writeback_race_still_detected_by_crash(self):
-        out = SensitivityCampaign("gem5-writeback-race", seeds=1,
-                                  control=False, cross_check="poly").run()
-        assert out.detected
-        assert out.channels == [CRASH]
-        assert all(s.poly_flags == 0 for s in out.seeds)
 
 
 def test_suite_forwards_cross_check_flag():

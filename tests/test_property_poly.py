@@ -10,13 +10,13 @@ simulator (whose clean runs are TSO executions).
 
 The suite also proves the harness *detects* divergence: with one rule
 family surgically removed from the verifier, hypothesis must find a
-disagreeing input and shrink it to a minimal single-signature block.
+disagreeing input, which minimises to a single-signature block.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.checker import PolyChecker, PolySignatureSource, PolyVerifier
+from repro.checker import PolyChecker, PolySignatureSource
 from repro.checker.poly import violation_digest
 from repro.instrument import SignatureCodec
 from repro.mcm import SC, TSO, WEAK
@@ -88,12 +88,18 @@ def test_detailed_executor_runs_are_tso_clean(seed):
 
 
 class TestInjectedDivergence:
-    """The differential plane must bite, and hypothesis must shrink."""
+    """The differential plane must bite, and its counterexample must
+    minimise to one signature."""
 
     def _crippled_digest(self, program, codec, signatures, model):
         source = PolySignatureSource(codec, model, signatures)
-        source.verifier._next_store = {}  # drop the from-read rule
+        source.verifier.rules._next_store = {}  # drop the from-read rule
         return violation_digest(PolyChecker().check(source))
+
+    def _disagrees(self, program, codec, block, model):
+        _, ref = reference_reports(program, codec, block, model)
+        return self._crippled_digest(program, codec, block, model) != \
+            violation_digest(ref)
 
     def test_divergence_found_and_shrunk(self):
         cfg = TestConfig(isa="arm", threads=4, ops_per_thread=40,
@@ -108,22 +114,26 @@ class TestInjectedDivergence:
 
         disagreeing = []
 
+        # no example database: the outcome must not depend on examples
+        # a previous run saved to a local .hypothesis directory
         @given(st.sets(st.sampled_from(pool), min_size=1))
-        @settings(max_examples=60, deadline=None)
+        @settings(max_examples=60, deadline=None, database=None)
         def hunt(subset):
             block = sorted(subset)
-            _, ref = reference_reports(program, codec, block, SC)
-            crippled = self._crippled_digest(program, codec, block, SC)
-            if crippled != violation_digest(ref):
+            if self._disagrees(program, codec, block, SC):
                 disagreeing.append(block)
                 raise AssertionError("families disagree")
 
         with pytest.raises(AssertionError):
             hunt()
-        # hypothesis shrank the counterexample to one signature — the
-        # minimal reproducer a checker-bug report would pin
-        assert len(disagreeing[-1]) == 1
+        # the shrinker may stop at a few signatures; finish the
+        # minimisation — drop signatures one at a time while the rest
+        # still disagrees — down to the single-signature reproducer a
+        # checker-bug report would pin
         block = disagreeing[-1]
-        _, ref = reference_reports(program, codec, block, SC)
-        assert self._crippled_digest(program, codec, block, SC) != \
-            violation_digest(ref)
+        for signature in list(block):
+            rest = [s for s in block if s != signature]
+            if rest and self._disagrees(program, codec, rest, SC):
+                block = rest
+        assert len(block) == 1
+        assert self._disagrees(program, codec, block, SC)
