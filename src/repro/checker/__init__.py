@@ -3,7 +3,7 @@
 from repro.checker.baseline import BaselineChecker
 from repro.checker.collective import CollectiveChecker
 from repro.checker.delta import SignatureDeltaSource
-from repro.checker.dispatch import CROSS_CHECKS, PIPELINES, SERVE_PIPELINES
+from repro.checker.dispatch import CROSS_CHECKS, PIPELINES
 from repro.checker.minimize import MinimizedViolation, minimize_violation
 from repro.checker.packed import PackedChecker, PackedPlan
 from repro.checker.poly import (
@@ -28,7 +28,6 @@ __all__ = [
     "INCREMENTAL",
     "NO_RESORT",
     "PIPELINES",
-    "SERVE_PIPELINES",
     "BaselineChecker",
     "CheckReport",
     "CollectiveChecker",

@@ -29,6 +29,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from heapq import heapify, heappop, heappush
+from itertools import count
 
 from repro.graph.constraint_graph import ConstraintGraph
 from repro.graph.toposort import find_cycle, topological_sort
@@ -156,21 +157,35 @@ class CollectiveChecker:
         added-edge-versus-last-valid-base comparison (property-tested in
         ``tests/test_checker_delta.py``).
         """
+        obs = get_obs()
+        # announce the walk on the event plane: the plan record pairs
+        # with the checkers' check.batch events downstream
+        obs.emit("checker.delta.plan", signatures=len(source))
         report = CheckReport()
         if not len(source):
             return report
         report.num_vertices_per_graph = source.num_vertices
 
-        obs = get_obs()
         with obs.span("checker.collective") as span:
-            self._check_delta_stream(source, report)
+            report.verdicts.extend(self.delta_walk(source, report))
         report.elapsed = span.elapsed
         if obs.enabled:
             report.record_metrics(obs, "checker.collective", pipeline="delta")
             self._record_delta_metrics(obs, report)
         return report
 
-    def _check_delta_stream(self, source, report: CheckReport) -> None:
+    def delta_walk(self, source, report: CheckReport):
+        """The delta pipeline, one execution per step (a generator).
+
+        Each step checks the next execution of a non-empty ``source``,
+        adds its delta and re-sort counts to ``report`` and yields its
+        verdict; the caller appends the verdict to ``report.verdicts``.
+        ``len(source)`` is read again before every step, so a source
+        that grows between steps is walked as far as it reaches:
+        :meth:`check_deltas` drains the walk over a complete sorted
+        sequence, and :class:`~repro.checker.stream.
+        StreamingCollectiveChecker` advances it by one per signature fed.
+        """
         num_vertices = source.num_vertices
         vertices = range(num_vertices)
 
@@ -182,18 +197,18 @@ class CollectiveChecker:
         state = source.base_state(0)
         delta_pairs = source.delta_pairs
         apply_pairs = state.apply_pairs
-        verdicts_append = report.verdicts.append
-        digits_changed = edges_removed = edges_added = sorted_vertices = 0
         #: net presence change per pair since the last *valid* base:
         #: +1 added, -1 removed (pairs toggling back cancel out)
         pending: dict[tuple[int, int], int] = {}
 
-        for index in range(len(source)):
+        for index in count():
+            if index == len(source):
+                return  # no next execution (a growing source: not yet)
             if index:
                 removed, added, digits = delta_pairs(index)
-                digits_changed += digits
-                edges_removed += len(removed)
-                edges_added += len(added)
+                report.digits_changed += digits
+                report.edges_removed += len(removed)
+                report.edges_added += len(added)
                 appeared, vanished = apply_pairs(removed, added)
                 if order is not None:
                     for pair in appeared:
@@ -216,18 +231,16 @@ class CollectiveChecker:
                              else source.full_graph(index).adjacency)
                 candidate = self._complete_sort(adjacency, num_vertices,
                                                 indegree, self.initial_key)
-                sorted_vertices += num_vertices
+                report.sorted_vertices += num_vertices
                 if candidate is None:
                     cycle = tuple(find_cycle(vertices, adjacency))
-                    verdicts_append(
-                        Verdict(index, True, cycle, COMPLETE, num_vertices))
+                    yield Verdict(index, True, cycle, COMPLETE, num_vertices)
                     continue
                 order = candidate
                 for pos, v in enumerate(order):
                     position[v] = pos
                 pending.clear()      # the live state IS the new base
-                verdicts_append(
-                    Verdict(index, False, None, COMPLETE, num_vertices))
+                yield Verdict(index, False, None, COMPLETE, num_vertices)
                 continue
 
             lead = num_vertices
@@ -245,11 +258,11 @@ class CollectiveChecker:
                 # No new backward edges: the current order is already a
                 # topological sort of this graph.
                 pending.clear()
-                verdicts_append(Verdict(index, False, None, NO_RESORT, 0))
+                yield Verdict(index, False, None, NO_RESORT, 0)
                 continue
 
             window = order[lead:trail + 1]
-            sorted_vertices += len(window)
+            report.sorted_vertices += len(window)
             new_window = self._window_sort(window, state.adjacency, order,
                                            position, indegree, lead, trail)
             if new_window is None:
@@ -259,20 +272,13 @@ class CollectiveChecker:
                 in_window = lambda w: lead <= position[w] <= trail
                 cycle = tuple(find_cycle(window, source.full_graph(index).adjacency,
                                          membership=in_window))
-                verdicts_append(
-                    Verdict(index, True, cycle, INCREMENTAL, len(window)))
+                yield Verdict(index, True, cycle, INCREMENTAL, len(window))
                 continue  # keep the last valid base order
             order[lead:trail + 1] = new_window
             for offset, v in enumerate(new_window):
                 position[v] = lead + offset
             pending.clear()
-            verdicts_append(
-                Verdict(index, False, None, INCREMENTAL, len(window)))
-
-        report.digits_changed += digits_changed
-        report.edges_removed += edges_removed
-        report.edges_added += edges_added
-        report.sorted_vertices += sorted_vertices
+            yield Verdict(index, False, None, INCREMENTAL, len(window))
 
     @staticmethod
     def _window_sort(window, adjacency, order, position, indegree, lead,

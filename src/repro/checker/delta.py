@@ -29,7 +29,6 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.constraint_graph import ConstraintGraph
 from repro.graph.delta import DeltaGraphState, GraphDelta
 from repro.instrument.signature import Signature, SignatureCodec
-from repro.obs import get_obs
 
 
 class SignatureDeltaSource:
@@ -52,10 +51,9 @@ class SignatureDeltaSource:
             raise CheckerError("codec and builder instrument different programs")
         self.codec = codec
         self.builder = builder
+        #: read, never copied: a list that grows between checking steps
+        #: (the serve stream's) grows the source with it
         self.signatures = signatures
-        # announce the stream on the event plane: the plan record pairs
-        # with the checkers' check.batch events downstream
-        get_obs().emit("checker.delta.plan", signatures=len(signatures))
         #: index -> pristine DeltaGraphState template (decode + edge-table
         #: walk + refcount seeding done once; checks receive clones)
         self._base_states: dict[int, DeltaGraphState] = {}
@@ -84,12 +82,14 @@ class SignatureDeltaSource:
         """A mutable refcounted state seeded with execution ``index``."""
         template = self._base_states.get(index)
         if template is None:
-            rf = self.codec.decode(self.signatures[index])
-            template = DeltaGraphState(
-                self.num_vertices,
-                list(self.builder.iter_execution_pairs(rf)))
-            self._base_states[index] = template
+            template = self._base_states[index] = self._state(index)
         return template.clone()
+
+    def _state(self, index: int) -> DeltaGraphState:
+        """:meth:`base_state` without the memoized template."""
+        rf = self.codec.decode(self.signatures[index])
+        return DeltaGraphState(self.num_vertices,
+                               list(self.builder.iter_execution_pairs(rf)))
 
     def delta_pairs(self, index: int) -> tuple:
         """The edge delta from execution ``index - 1`` to ``index``.
@@ -103,8 +103,12 @@ class SignatureDeltaSource:
         returned lists as immutable.
         """
         cached = self._delta_cache.get(index)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._delta_cache[index] = self._pairs(index)
+        return cached
+
+    def _pairs(self, index: int) -> tuple:
+        """:meth:`delta_pairs` without the memo."""
         signatures = self.signatures
         changes = self.codec.decode_delta(signatures[index - 1],
                                           signatures[index])
@@ -114,9 +118,7 @@ class SignatureDeltaSource:
         for load_uid, old_source, new_source in changes:
             removed.extend(edge_pairs(load_uid, old_source))
             added.extend(edge_pairs(load_uid, new_source))
-        cached = (removed, added, len(changes))
-        self._delta_cache[index] = cached
-        return cached
+        return removed, added, len(changes)
 
     def delta(self, index: int) -> GraphDelta:
         """The edge delta from execution ``index - 1`` to ``index``."""

@@ -75,7 +75,7 @@ import sys
 from repro import io as repro_io
 from repro import obs as repro_obs
 from repro.errors import ReproError
-from repro.checker import CROSS_CHECKS, PIPELINES, SERVE_PIPELINES, describe_cycle
+from repro.checker import CROSS_CHECKS, PIPELINES, describe_cycle
 from repro.harness import Campaign, SuiteRunner, check_campaign_result, format_table
 from repro.feasible import DEFAULT_BUDGET, DEFAULT_SAMPLES, cross_check_outcome
 from repro.instrument import SignatureCodec, code_size, emit_listing, intrusiveness
@@ -221,7 +221,7 @@ def _cmd_run(args) -> int:
             sys.stderr.write("\n")
         model = None  # register-width convention, same as the checker's
         checker = lambda: check_campaign_result(result,
-                                                pipeline=args.check_pipeline)
+                                                pipeline=args.pipeline)
     else:
         extra = {}
         if args.detailed or args.bug:
@@ -240,7 +240,7 @@ def _cmd_run(args) -> int:
         result = campaign.run(args.iterations, block=args.block,
                               lint=args.lint)
         model = campaign.model
-        checker = lambda: campaign.check(result, pipeline=args.check_pipeline)
+        checker = lambda: campaign.check(result, pipeline=args.pipeline)
     summary = {"config": config.name, "iterations": result.iterations,
                "unique_signatures": result.unique_signatures,
                "crashes": result.crashes, "jobs": args.jobs,
@@ -288,7 +288,7 @@ def _cmd_check(args) -> int:
         model_for_register_width(result.codec.register_width)
     outcome = check_campaign_result(result, config_model, ws_mode=args.ws_mode,
                                     baseline=False,
-                                    pipeline=args.check_pipeline)
+                                    pipeline=args.pipeline)
     report = outcome.collective
     if not args.json:
         print("checked %d unique executions under %s (%s ws): %d violations"
@@ -320,7 +320,7 @@ def _cmd_suite(args) -> int:
     handle = repro_obs.enable() if _metrics_wanted(args) else None
     runner = SuiteRunner(config, tests=args.tests, iterations=args.iterations,
                          jobs=args.jobs, os_model=args.os or None,
-                         lint=args.lint, pipeline=args.check_pipeline)
+                         lint=args.lint, pipeline=args.pipeline)
     stats = runner.run(seed=args.run_seed)
     rows = [
         ["tests", stats.tests],
@@ -672,8 +672,7 @@ def _cmd_serve(args) -> int:
                          report_out=args.report_out,
                          dedup_path=args.dedup,
                          pool_port=args.pool_port,
-                         offload=args.offload,
-                         check_pipeline=args.check_pipeline)
+                         offload=args.offload)
 
     def ready(daemon):
         line = "serving on %s:%d" % (config.host, daemon.port)
@@ -1060,13 +1059,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offload", type=int, default=512,
                    help="batches with at least this many entries check "
                         "on the worker pool when one is attached")
-    p.add_argument("--check-pipeline", choices=SERVE_PIPELINES,
-                   default="delta",
-                   help="finalize (drain) replay pipeline: streaming "
-                        "'delta' (default), the array-compiled 'packed' "
-                        "core or the frontier-closure 'poly' family — "
-                        "identical violation verdicts (the legacy graphs "
-                        "path never streams)")
     p.add_argument("--progress", action="store_true",
                    help="draw live per-session progress rows on stderr")
     p.add_argument("--protocol-doc", action="store_true",
@@ -1160,7 +1152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_pipeline_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--check-pipeline",
+    parser.add_argument("--check-pipeline", dest="pipeline",
                         choices=PIPELINES,
                         default="delta",
                         help="collective-checking pipeline: 'delta' "

@@ -227,9 +227,8 @@ class TcpWorkerPool:
         if isinstance(task, WorkerTask):
             message.update(type="shard", task=task_to_doc(task),
                            collect_metrics=task.collect_metrics)
-        else:                # ("check", dump_text, model_name[, pipeline])
-            message.update(type="check", dump=task[1], model=task[2],
-                           pipeline=task[3] if len(task) > 3 else "delta")
+        else:                # ("check", dump_text, model_name)
+            message.update(type="check", dump=task[1], model=task[2])
         start = time.perf_counter()
         if self.progress is not None and isinstance(task, WorkerTask):
             self.progress.launch(index, task.iterations,
@@ -331,11 +330,11 @@ class TcpWorkerPool:
             self._run = None
         return outcomes
 
-    def check_remote(self, dump_text: str, model: str = None,
-                     pipeline: str = "delta"):
-        """Offload one campaign-dump check; returns the verdict digest
-        (``{"summary", "violations", "unique"}``) or None on crash."""
-        outcomes = self.run([("check", dump_text, model, pipeline)])
+    def check_remote(self, dump_text: str, model: str = None):
+        """Offload one campaign-dump check (the delta pipeline); returns
+        the verdict digest (``{"summary", "violations", "unique"}``) or
+        None on crash."""
+        outcomes = self.run([("check", dump_text, model)])
         if outcomes[0].crashed:
             return None
         import json
@@ -397,9 +396,8 @@ def _run_remote_task(message: dict) -> dict:
 
     result = load_campaign(message["dump"])
     model = get_model(message["model"]) if message.get("model") else None
-    outcome = check_campaign_result(
-        result, model=model, baseline=False,
-        pipeline=message.get("pipeline", "delta"))
+    outcome = check_campaign_result(result, model=model, baseline=False,
+                                    pipeline="delta")
     report = outcome.collective
     signatures = result.sorted_signatures()
     import json

@@ -102,17 +102,29 @@ def signature_to_entry(signature: Signature, count: int = 1) -> dict:
 
 
 def signature_from_entry(entry: dict) -> tuple:
-    """Decode one signature entry; returns ``(signature, count)``."""
+    """Decode one signature entry; returns ``(signature, count)``.
+
+    Campaign dumps (and with them fleet and pool hand-offs) and serve
+    batches all decode their entries here.  ``count`` defaults to 1 and
+    must be an ``int`` >= 1 (``bool`` is not a count); anything else
+    raises :class:`FormatError` instead of being truncated or kept.
+    """
     try:
-        return (_signature_from_list(entry["words"]),
-                int(entry.get("count", 1)))
+        signature = _signature_from_list(entry["words"])
+        count = entry.get("count", 1)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("bad signature entry: %s" % (exc,)) from None
+    if type(count) is not int or count < 1:
+        raise FormatError("bad signature entry: count must be an integer "
+                          ">= 1, got %r" % (count,))
+    return signature, count
 
 
 def dump_campaign(result: CampaignResult, include_ws: bool = True,
                   meta: dict = None) -> str:
     """Serialize a campaign's signatures (and optional ws orders) to JSON.
+
+    Writes one entry per unique signature, in ascending order.
 
     Args:
         result: a finished :class:`CampaignResult`.
@@ -163,6 +175,8 @@ def load_campaign(text: str) -> CampaignResult:
     The returned result carries signature counts and (when the dump
     includes ws) representative executions whose ``rf`` is recovered by
     decoding each signature — Algorithm 1 on the host, as in the paper.
+    Entries decode through :func:`signature_from_entry`; a signature
+    listed twice is a :class:`FormatError`, not a silent overwrite.
     """
     doc = parse_json_payload(text, what="campaign dump")
     if doc.get("format") != _FORMAT_VERSION:
@@ -175,8 +189,11 @@ def load_campaign(text: str) -> CampaignResult:
     result.signature_asserts = doc.get("signature_asserts", 0)
     counts = Counter()
     for entry in doc["signatures"]:
-        signature = _signature_from_list(entry["words"])
-        counts[signature] = int(entry["count"])
+        signature, count = signature_from_entry(entry)
+        if signature in counts:
+            raise FormatError("campaign dump lists signature %s twice"
+                              % (_signature_to_list(signature),))
+        counts[signature] = count
         rf = codec.decode(signature)
         ws = {int(addr): [int(u) for u in chain]
               for addr, chain in entry.get("ws", {}).items()} or None

@@ -113,7 +113,8 @@ _kind("check.batch", RUN,
       ("incremental", "graphs re-sorted over a bounded window"),
       ("sorted_vertices", "total vertices fed to Kahn's algorithm"))
 _kind("checker.delta.plan", RUN,
-      "A delta source was built over a sorted signature sequence.",
+      "A batch delta walk (`check_deltas`) began over a sorted "
+      "signature sequence.",
       ("signatures", "unique signatures the delta stream will cover"))
 _kind("checker.packed.plan", RUN,
       "A packed plan was compiled over a sorted signature block.",

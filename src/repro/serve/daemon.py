@@ -57,7 +57,14 @@ _DRAIN = object()          # queue sentinel: stop after what is queued
 
 @dataclass
 class ServeConfig:
-    """Daemon knobs (the ``repro serve`` flags)."""
+    """Daemon knobs (the ``repro serve`` flags).
+
+    Checking has no knob: a session checks novel signatures in arrival
+    order, one step each of the delta walk that
+    ``CollectiveChecker.check_deltas`` drains, and its drained report
+    always replays through ``check_deltas``; pool workers check
+    offloaded batches through the same delta pipeline.
+    """
 
     host: str = "127.0.0.1"
     port: int = 0
@@ -77,10 +84,6 @@ class ServeConfig:
     pool_port: int = None
     #: batches with at least this many entries check on the pool
     offload: int = 512
-    #: finalize pipeline: "delta" (default), array-compiled "packed" or
-    #: frontier-closure "poly"
-    #: (:data:`repro.checker.SERVE_PIPELINES`)
-    check_pipeline: str = "delta"
 
 
 class ServeDaemon:
@@ -199,8 +202,7 @@ class ServeDaemon:
         self._session_seq += 1
         session = CampaignSession(self._session_seq, program,
                                   hello["register_width"], self.dedup,
-                                  label=hello.get("session") or "",
-                                  pipeline=self.config.check_pipeline)
+                                  label=hello.get("session") or "")
         if self.progress is not None:
             self.progress.launch(session.session_id, 0, 1,
                                  label="serve:%s" % (session.label or
@@ -296,9 +298,7 @@ class ServeDaemon:
         crashes = message.get("crashes", 0)
         if (self.pool is not None and len(entries) >= self.config.offload
                 and self.pool.live_workers):
-            digest = self.pool.check_remote(
-                session.remote_dump(entries),
-                pipeline=self.config.check_pipeline)
+            digest = self.pool.check_remote(session.remote_dump(entries))
             if digest is not None:
                 return session.ingest_checked(
                     entries, digest["violations"], seq=seq,

@@ -9,12 +9,14 @@ Each submitted batch is folded three ways:
 2. signatures the dedup store has seen — for *any* client of the same
    campaign — are answered in O(1) from the stored verdict;
 3. novel signatures run through the arrival-order
-   :class:`~repro.checker.stream.StreamingCollectiveChecker` and their
-   verdicts are recorded back into the store.
+   :class:`~repro.checker.stream.StreamingCollectiveChecker` — one step
+   each of the same delta walk ``CollectiveChecker.check_deltas`` drains
+   — and their verdicts are recorded back into the store (batches
+   offloaded to a worker pool bring their verdicts with them).
 
-At drain, :meth:`CampaignSession.finalize` replays the session's own
-unique-signature set, sorted, through the stock batch delta pipeline —
-so the flushed report's ``summary`` is byte-identical to
+At drain, :meth:`CampaignSession.finalize` always replays the session's
+own unique-signature set, sorted, through ``check_deltas`` — so the
+flushed report's ``summary`` is byte-identical to
 ``repro run --check-pipeline delta`` over the same multiset, no matter
 how batches were interleaved or which verdicts were dedup hits.
 """
@@ -22,7 +24,7 @@ how batches were interleaved or which verdicts were dedup hits.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.checker.stream import StreamingCollectiveChecker
 from repro.graph.builder import GraphBuilder
@@ -97,7 +99,6 @@ class _Totals:
     batches: int = 0
     dedup_hits: int = 0
     occurrences: int = 0
-    violations: set = field(default_factory=set)
 
 
 class CampaignSession:
@@ -112,15 +113,11 @@ class CampaignSession:
         model: memory model override; defaults to the platform matching
             the register width, exactly as :func:`repro.harness.runner.
             check_campaign_result` does.
-        pipeline: finalize replay pipeline — ``"delta"`` (default) or
-            the array-compiled ``"packed"`` core; the drained report's
-            summary is identical either way.
     """
 
     def __init__(self, session_id: int, program: TestProgram,
                  register_width: int, dedup: SignatureDedupStore,
-                 label: str = "", model: MemoryModel = None,
-                 pipeline: str = "delta"):
+                 label: str = "", model: MemoryModel = None):
         if model is None:
             model = model_for_register_width(register_width)
         self.session_id = session_id
@@ -128,7 +125,6 @@ class CampaignSession:
         self.codec = SignatureCodec(program, register_width)
         self.builder = GraphBuilder(program, model, ws_mode="static")
         self.checker = StreamingCollectiveChecker(self.codec, self.builder)
-        self.pipeline = pipeline
         self.dedup = dedup
         self.campaign = campaign_key(program, register_width)
         #: the session's accumulated multiset (the serve-side mirror of a
@@ -145,43 +141,16 @@ class CampaignSession:
                crashes: int = 0) -> BatchAck:
         """Fold one submitted batch into the session; returns its ack.
 
-        Thread-safe (the daemon runs batches on an executor); batches of
-        one session are serialized by the lock, preserving submission
-        order end-to-end.
+        Novel signatures are checked here, one
+        :meth:`~repro.checker.stream.StreamingCollectiveChecker.feed`
+        step each.  Thread-safe (the daemon runs batches on an
+        executor); batches of one session are serialized by the lock,
+        preserving submission order end-to-end.
         """
-        ack = BatchAck(seq=seq)
-        with self._lock:
-            totals = self._totals
-            counts = self.result.signature_counts
-            for entry in entries:
-                signature, count = signature_from_entry(entry)
-                counts[signature] += count
-                totals.occurrences += count
-                known = self.dedup.observe(self.campaign, signature)
-                if known is not None:
-                    ack.repeats += 1
-                    totals.dedup_hits += 1
-                    violation = known.violation
-                else:
-                    verdict = self.checker.feed(signature)
-                    self.dedup.record(self.campaign, signature,
-                                      verdict.violation)
-                    ack.novel += 1
-                    violation = verdict.violation
-                if violation:
-                    totals.violations.add(signature)
-                    ack.violations += 1
-            totals.iterations += (iterations if iterations is not None
-                                  else sum(int(e.get("count", 1))
-                                           for e in entries))
-            totals.crashes += int(crashes)
-            totals.batches += 1
-        obs = get_obs()
-        obs.emit("serve.batch", session=self.session_id, seq=seq,
-                 novel=ack.novel, repeats=ack.repeats,
-                 violations=ack.violations)
-        obs.counter("serve.signatures_ingested").inc(len(entries))
-        return ack
+        feed = self.checker.feed
+        return self._fold(entries, lambda sig: feed(sig).violation,
+                          "serve.signatures_ingested", seq, iterations,
+                          crashes)
 
     # -- pool offload ------------------------------------------------------------------
 
@@ -218,36 +187,49 @@ class CampaignSession:
 
         violating = {_signature_from_list(words)
                      for words in violating_words}
+        return self._fold(entries, violating.__contains__,
+                          "serve.signatures_offloaded", seq, iterations,
+                          crashes)
+
+    def _fold(self, entries: list, novel_violation, counter: str, seq: int,
+              iterations: int, crashes: int) -> BatchAck:
+        """The one batch fold behind :meth:`ingest` and
+        :meth:`ingest_checked`.
+
+        Every entry is decoded before anything is folded, so a malformed
+        batch raises :class:`~repro.io.FormatError` and changes nothing.
+        ``novel_violation(signature)`` gives the verdict of a signature
+        the dedup store has not seen; ``counter`` names the obs counter
+        the batch's entry count lands in.
+        """
+        decoded = [signature_from_entry(entry) for entry in entries]
         ack = BatchAck(seq=seq)
         with self._lock:
             totals = self._totals
             counts = self.result.signature_counts
-            for entry in entries:
-                signature, count = signature_from_entry(entry)
+            for signature, count in decoded:
                 counts[signature] += count
                 totals.occurrences += count
                 known = self.dedup.observe(self.campaign, signature)
-                violation = signature in violating
                 if known is not None:
                     ack.repeats += 1
                     totals.dedup_hits += 1
                     violation = known.violation
                 else:
+                    violation = novel_violation(signature)
                     self.dedup.record(self.campaign, signature, violation)
                     ack.novel += 1
                 if violation:
-                    totals.violations.add(signature)
                     ack.violations += 1
             totals.iterations += (iterations if iterations is not None
-                                  else sum(int(e.get("count", 1))
-                                           for e in entries))
+                                  else sum(count for _, count in decoded))
             totals.crashes += int(crashes)
             totals.batches += 1
         obs = get_obs()
         obs.emit("serve.batch", session=self.session_id, seq=seq,
                  novel=ack.novel, repeats=ack.repeats,
                  violations=ack.violations)
-        obs.counter("serve.signatures_offloaded").inc(len(entries))
+        obs.counter(counter).inc(len(entries))
         return ack
 
     # -- accounting --------------------------------------------------------------------
@@ -263,10 +245,6 @@ class CampaignSession:
     @property
     def batches(self) -> int:
         return self._totals.batches
-
-    @property
-    def violation_count(self) -> int:
-        return len(self._totals.violations)
 
     def progress_payload(self) -> dict:
         """A heartbeat-shaped payload for the live progress table."""
@@ -290,8 +268,7 @@ class CampaignSession:
             totals = self._totals
             self.result.iterations = totals.iterations
             self.result.crashes = totals.crashes
-            report = (self.checker.finalize(self.result.signature_counts,
-                                            pipeline=self.pipeline)
+            report = (self.checker.finalize(self.result.signature_counts)
                       if self.unique_signatures else self.checker.report)
             session_report = SessionReport(
                 session_id=self.session_id,

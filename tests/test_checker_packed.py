@@ -213,18 +213,3 @@ class TestRunnerWiring:
             report.digits_changed
         assert metrics.gauge("checker.packed.edge_universe").value == \
             outcome.source.num_edges
-
-
-class TestStreamFinalizeWiring:
-    def test_finalize_packed_matches_delta(self):
-        from repro.checker.stream import StreamingCollectiveChecker
-
-        cfg = TestConfig(isa="arm", threads=2, ops_per_thread=20,
-                         addresses=8, seed=6)
-        program, codec, signatures = run_unique_signatures(cfg, 150)
-        builder = GraphBuilder(program, get_model("weak"), ws_mode="static")
-        checker = StreamingCollectiveChecker(codec, builder)
-        for sig in signatures:
-            checker.feed(sig)
-        assert checker.finalize(pipeline="packed").summary() == \
-            checker.finalize().summary()

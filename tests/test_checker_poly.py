@@ -268,23 +268,3 @@ class TestRunnerWiring:
             len(outcome.source)
         assert metrics.counter("checker.poly.dynamic_pairs").value == \
             outcome.source.stats["dynamic_pairs"]
-
-
-class TestStreamFinalizeWiring:
-    @pytest.fixture()
-    def fed_checker(self):
-        from repro.checker.stream import StreamingCollectiveChecker
-
-        cfg = TestConfig(isa="arm", threads=2, ops_per_thread=20,
-                         addresses=8, seed=6)
-        program, codec, signatures = run_unique_signatures(cfg, 150)
-        builder = GraphBuilder(program, get_model("weak"), ws_mode="static")
-        checker = StreamingCollectiveChecker(codec, builder)
-        for sig in signatures:
-            checker.feed(sig)
-        return checker
-
-    def test_finalize_poly_agrees_with_delta(self, fed_checker):
-        assert violation_digest(fed_checker.finalize(pipeline="poly")) == \
-            violation_digest(fed_checker.finalize())
-

@@ -27,9 +27,29 @@ def campaign_signatures():
     return codec, builder, result.sorted_signatures()
 
 
+@pytest.fixture
+def sc_violating_signatures():
+    """A weak-hardware campaign checked under SC (it must violate)."""
+    config = TestConfig(isa="arm", threads=2, ops_per_thread=12,
+                        addresses=4, seed=5)
+    program = generate(config)
+    codec = SignatureCodec(program, config.register_width)
+    executor = OperationalExecutor(program, WEAK, seed=9)
+    signatures = sorted({codec.encode(e.rf) for e in executor.run(300)})
+    builder = GraphBuilder(program, SC, ws_mode="static")
+    assert _batch_report(codec, builder, signatures).violations, \
+        "seed produced no SC violations"
+    return codec, builder, signatures
+
+
 def _batch_report(codec, builder, signatures):
     source = SignatureDeltaSource(codec, builder, sorted(set(signatures)))
     return CollectiveChecker().check_deltas(source)
+
+
+def _verdict_key(verdict):
+    return (verdict.index, verdict.violation, verdict.cycle, verdict.method,
+            verdict.resorted_vertices)
 
 
 class TestConstruction:
@@ -48,16 +68,25 @@ class TestConstruction:
 
 
 class TestFeed:
-    def test_sorted_feed_matches_batch_verdicts(self, campaign_signatures):
-        codec, builder, signatures = campaign_signatures
-        checker = StreamingCollectiveChecker(codec, builder)
-        for signature in signatures:
-            checker.feed(signature)
-        batch = _batch_report(codec, builder, signatures)
-        fed = checker.report
-        assert [v.violation for v in fed.verdicts] == \
-            [v.violation for v in batch.verdicts]
-        assert len(checker) == len(signatures)
+    def test_sorted_feed_matches_batch_verdicts(self, campaign_signatures,
+                                                sc_violating_signatures):
+        """Fed in sorted order, the stream's walk is the batch walk — also
+        through violating prefixes, where both rebuild full graphs."""
+        for codec, builder, signatures in (campaign_signatures,
+                                           sc_violating_signatures):
+            checker = StreamingCollectiveChecker(codec, builder)
+            for signature in signatures:
+                checker.feed(signature)
+            batch = _batch_report(codec, builder, signatures)
+            fed = checker.report
+            assert fed.summary() == batch.summary()
+            assert [_verdict_key(v) for v in fed.verdicts] == \
+                [_verdict_key(v) for v in batch.verdicts]
+            assert (fed.digits_changed, fed.edges_added,
+                    fed.edges_removed) == (batch.digits_changed,
+                                           batch.edges_added,
+                                           batch.edges_removed)
+            assert len(checker) == len(signatures)
 
     def test_shuffled_feed_finds_the_same_violation_set(
             self, campaign_signatures):
@@ -72,23 +101,16 @@ class TestFeed:
                 checker.feed(signature)
             assert set(checker.violating_signatures()) == expected
 
-    def test_violations_detected_streaming(self):
+    def test_violations_detected_streaming(self, sc_violating_signatures):
         """A weak-hardware campaign checked under SC must violate, and
         the streaming verdicts must flag the same signatures as batch."""
-        config = TestConfig(isa="arm", threads=2, ops_per_thread=12,
-                            addresses=4, seed=5)
-        program = generate(config)
-        codec = SignatureCodec(program, config.register_width)
-        executor = OperationalExecutor(program, WEAK, seed=9)
-        signatures = {codec.encode(e.rf) for e in executor.run(300)}
-        builder = GraphBuilder(program, SC, ws_mode="static")
+        codec, builder, signatures = sc_violating_signatures
         batch = _batch_report(codec, builder, signatures)
-        assert batch.violations, "seed produced no SC violations"
         checker = StreamingCollectiveChecker(codec, builder)
-        for signature in sorted(signatures, reverse=True):
+        for signature in reversed(signatures):
             checker.feed(signature)
         assert set(checker.violating_signatures()) == \
-            {sorted(set(signatures))[v.index] for v in batch.violations}
+            {signatures[v.index] for v in batch.violations}
 
 
 class TestFinalize:
@@ -112,12 +134,3 @@ class TestFinalize:
         report = checker.finalize(signatures)
         assert report.summary() == \
             _batch_report(codec, builder, signatures).summary()
-
-    @pytest.mark.parametrize("pipeline", ("graphs", "auto", "deltas"))
-    def test_finalize_rejects_pipelines_outside_the_registry(
-            self, campaign_signatures, pipeline):
-        codec, builder, signatures = campaign_signatures
-        checker = StreamingCollectiveChecker(codec, builder)
-        checker.feed(signatures[0])
-        with pytest.raises(CheckerError):
-            checker.finalize(pipeline=pipeline)

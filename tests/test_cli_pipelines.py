@@ -5,12 +5,13 @@ subcommands; their choices must come from the single registry in
 :mod:`repro.checker.dispatch` — not hand-maintained copies that drift
 (the pre-poly tree shipped run/check/serve with three different help
 strings and choice sets).  These tests introspect the built argparse
-tree and pin every occurrence to the registry tuples.
+tree and pin every occurrence to the registry tuples.  ``serve`` has no
+pipeline switch: it always checks through the delta pipeline.
 """
 
 import pytest
 
-from repro.checker import CROSS_CHECKS, PIPELINES, SERVE_PIPELINES
+from repro.checker import CROSS_CHECKS, PIPELINES
 from repro.cli import build_parser
 
 
@@ -34,9 +35,6 @@ def commands():
 class TestRegistry:
     def test_registry_shape(self):
         assert PIPELINES == ("graphs", "delta", "packed", "poly")
-        # serve sessions stream deltas; the batch-only graphs pipeline
-        # cannot finalize a stream
-        assert SERVE_PIPELINES == ("delta", "packed", "poly")
         assert CROSS_CHECKS == ("feasible",)
 
 
@@ -48,9 +46,11 @@ class TestCheckPipelineFlag:
         assert tuple(action.choices) == PIPELINES, command
 
     def test_serve_uses_stream_registry(self, commands):
-        action = option(commands["serve"], "--check-pipeline")
-        assert action is not None
-        assert tuple(action.choices) == SERVE_PIPELINES
+        """serve streams every batch through the delta walk: no switch."""
+        assert option(commands["serve"], "--check-pipeline") is None
+        args = build_parser().parse_args(["serve"])
+        assert not hasattr(args, "pipeline")
+        assert not hasattr(args, "check_pipeline")
 
     def test_every_occurrence_is_registry_backed(self, commands):
         """No subcommand may carry a hand-rolled pipeline choice set."""
@@ -58,8 +58,7 @@ class TestCheckPipelineFlag:
             action = option(sub, "--check-pipeline")
             if action is None:
                 continue
-            assert tuple(action.choices) in (PIPELINES, SERVE_PIPELINES), \
-                name
+            assert tuple(action.choices) == PIPELINES, name
 
 
 class TestCrossCheckFlag:
@@ -78,7 +77,7 @@ class TestCrossCheckFlag:
 class TestParsing:
     def test_run_accepts_poly(self, commands):
         args = build_parser().parse_args(["run", "--check-pipeline", "poly"])
-        assert args.check_pipeline == "poly"
+        assert args.pipeline == "poly"
 
     def test_run_rejects_unknown_pipeline(self):
         for name in ("polynomial", "auto"):
@@ -87,5 +86,9 @@ class TestParsing:
             assert exc.value.code == 2, name
 
     def test_serve_rejects_batch_only_graphs(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--check-pipeline", "graphs"])
+        # serve carries no pipeline switch, so every value is rejected —
+        # the batch-only graphs pipeline and the delta walk serve uses
+        for name in ("graphs", "delta"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["serve", "--check-pipeline", name])
+            assert exc.value.code == 2, name

@@ -138,6 +138,18 @@ class TestSignatureEntries:
 
     def test_bad_entry_is_a_format_error(self):
         for entry in ({}, {"words": "zap"}, {"words": [["x"]]},
-                      {"words": [[1]], "count": "many"}):
+                      {"words": [[1]], "count": "many"},
+                      {"words": [[1]], "count": 0},
+                      {"words": [[1]], "count": -3},
+                      {"words": [[1]], "count": 2.9},
+                      {"words": [[1]], "count": True}):
             with pytest.raises(repro_io.FormatError):
                 repro_io.signature_from_entry(entry)
+
+    def test_duplicate_dump_entry_is_a_format_error(self, finished_campaign):
+        """A repeated signature must not overwrite its first count."""
+        _, result = finished_campaign
+        doc = json.loads(repro_io.dump_campaign(result))
+        doc["signatures"].append(dict(doc["signatures"][0], count=1))
+        with pytest.raises(repro_io.FormatError, match="twice"):
+            repro_io.load_campaign(json.dumps(doc))

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro import obs
 from repro.graph import GraphBuilder
 from repro.harness import Campaign, check_campaign_result
-from repro.io import signature_to_entry
+from repro.io import FormatError, signature_to_entry
 from repro.mcm import SC
 from repro.serve.dedup import SignatureDedupStore
 from repro.serve.session import CampaignSession
@@ -53,6 +54,19 @@ class TestIngest:
         # counts doubled: dedup answers verdicts, never occurrence math
         assert session.signatures_ingested == 2 * campaign_result.iterations
 
+    def test_out_of_range_count_rejects_the_whole_batch(
+            self, campaign_result):
+        session = CampaignSession(1, campaign_result.program, 32,
+                                  SignatureDedupStore())
+        entries = _entries(campaign_result)
+        entries[1] = dict(entries[1], count=0)
+        with pytest.raises(FormatError):
+            session.ingest(entries, seq=1)
+        # decoded before folding: nothing of the batch was accepted
+        assert session.signatures_ingested == 0
+        assert session.unique_signatures == 0
+        assert len(session.checker) == 0
+
     def test_dedup_shared_across_sessions(self, campaign_result):
         store = SignatureDedupStore()
         first = CampaignSession(1, campaign_result.program, 32, store)
@@ -87,6 +101,24 @@ class TestFinalize:
         report = second.finalize()
         assert report.dedup_hits == len(_entries(campaign_result))
         assert report.summary == _batch_summary(campaign_result)
+
+    def test_event_kinds_and_counts(self, campaign_result):
+        """Live checking emits no delta plan; finalize emits the one."""
+        entries = _entries(campaign_result)
+        with obs.enabled_obs() as handle:
+            session = CampaignSession(1, campaign_result.program, 32,
+                                      SignatureDedupStore())
+            session.ingest(entries[:10], seq=1)
+            session.ingest(entries[5:], seq=2)
+            assert handle.events.counts() == {"serve.batch": 2,
+                                              "serve.session.open": 1}
+            session.finalize()
+        assert handle.events.counts() == {
+            "check.batch": 1, "checker.delta.plan": 1, "serve.batch": 2,
+            "serve.session.close": 1, "serve.session.open": 1}
+        plans = [e.data for e in handle.events.events()
+                 if e.kind == "checker.delta.plan"]
+        assert plans == [{"signatures": campaign_result.unique_signatures}]
 
     def test_empty_session_reports_cleanly(self, campaign_result):
         session = CampaignSession(1, campaign_result.program, 32,
