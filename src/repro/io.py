@@ -93,7 +93,18 @@ def _signature_to_list(signature: Signature) -> list:
 
 
 def _signature_from_list(data) -> Signature:
-    return Signature(tuple(tuple(int(w) for w in words) for words in data))
+    """Decode a signature's word lists; every word must be an ``int`` >= 0.
+
+    ``bool``, floats and numeric strings are not words: converting them
+    would check a different interleaving than the entry names.
+    """
+    words = tuple(tuple(register) for register in data)
+    for register in words:
+        for w in register:
+            if type(w) is not int or w < 0:
+                raise FormatError("bad signature word %r: words must be "
+                                  "integers >= 0" % (w,))
+    return Signature(words)
 
 
 def signature_to_entry(signature: Signature, count: int = 1) -> dict:

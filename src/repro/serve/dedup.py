@@ -27,7 +27,7 @@ import threading
 from dataclasses import dataclass
 
 from repro.instrument.signature import Signature
-from repro.io import _signature_from_list, _signature_to_list
+from repro.io import FormatError, _signature_from_list, _signature_to_list
 from repro.isa.assembler import disassemble
 from repro.isa.program import TestProgram
 
@@ -141,9 +141,9 @@ class SignatureDedupStore:
                     signature = _signature_from_list(doc["words"])
                     violation = bool(doc["violation"])
                     campaign = doc["campaign"]
-                except (ValueError, KeyError, TypeError):
-                    # torn tail line from a mid-write kill: drop it; the
-                    # signature will simply be re-checked once
+                except (ValueError, KeyError, TypeError, FormatError):
+                    # torn tail line from a mid-write kill (or a corrupt
+                    # one): drop it; the signature is simply re-checked once
                     continue
                 self._campaigns.setdefault(campaign, {})[signature] = \
                     DedupRecord(violation)

@@ -24,6 +24,33 @@ The executor also charges the instrumentation's runtime costs:
 * ``flush`` mode (the register-flushing baseline [24]) issues one extra
   log store after every load, perturbing timing and contending for store
   bandwidth.
+
+One loop per machine
+--------------------
+
+Each machine is a single loop over flat ``(kind, addr, uid)`` op tuples
+built once per executor.  One step picks a thread and performs one
+action for it:
+
+* **Thread pick.**  ``runnable`` lists, in ascending order, the threads
+  not parked at a sync barrier that still hold ops or buffered entries.
+  It shrinks when a thread runs dry and is rebuilt only when a
+  rendezvous releases its waiters.  The earliest clock wins (the lowest
+  thread on a tie); ``uniform_random`` replaces this with
+  ``rng.choice(runnable)``.
+* **Weak window pick.**  The oldest window entry is always eligible, so
+  a thread can complete something exactly when its window is non-empty.
+  The entry to complete is chosen oldest-first: the loop draws once per
+  eligible entry it passes over, never for the last eligible one, and
+  scans for the next eligible entry only after a draw rejects the
+  current one — the RNG use of ``_pick_eligible(_eligible(window))``.
+* **Where the options act.**  An :class:`OSModel` perturbs every
+  latency just before it is charged to the clock.  ``sync_barriers``
+  acts when a barrier completes (:meth:`OperationalExecutor._arrive`).
+  A fault plane is consulted at the action it corrupts — the TSO
+  barrier and drain, the store-buffer forward, each load's memory read —
+  and, on the weak machine, at every window decision, which then builds
+  the full eligible list.
 """
 
 from __future__ import annotations
@@ -32,7 +59,7 @@ import random
 from dataclasses import dataclass
 
 from repro.errors import ExecutionError
-from repro.isa.instructions import INIT
+from repro.isa.instructions import INIT, OpKind
 from repro.isa.layout import MemoryLayout
 from repro.isa.program import TestProgram
 from repro.mcm.model import MemoryModel
@@ -52,6 +79,9 @@ _BRANCH_COST = 1.0
 _MISPREDICT_PENALTY = 14.0
 #: cycles to fetch one operation into the weak model's reorder window
 _FETCH_COST = 0.5
+
+_STORE = OpKind.STORE
+_BARRIER = OpKind.BARRIER
 
 
 @dataclass(frozen=True)
@@ -173,6 +203,10 @@ class OperationalExecutor:
                     self._chain_len[slot.uid] = len(slot.candidates)
                     for i, src in enumerate(slot.candidates):
                         self._cand_index[(slot.uid, src)] = i
+        #: per thread, its ops as flat ``(kind, addr, uid)`` tuples
+        self._threads = [[(op.kind, op.addr, op.uid) for op in tp.ops]
+                         for tp in program.threads]
+        self._lens = [len(ops) for ops in self._threads]
 
     # -- public API -------------------------------------------------------------
 
@@ -216,25 +250,21 @@ class OperationalExecutor:
         clocks = [rng.random() * self.tuning.start_skew for _ in range(n)]
         return ({}, {addr: [] for addr in range(self.program.num_addresses)}, clocks)
 
-    def _pick_thread(self, clocks, runnable) -> int:
-        """Earliest-clock scheduling (or uniform in limit-study mode)."""
-        if self.uniform_random:
-            return self.rng.choice(runnable)
-        best = runnable[0]
-        best_clock = clocks[best]
-        for t in runnable[1:]:
-            if clocks[t] < best_clock:
-                best, best_clock = t, clocks[t]
-        return best
+    def _runnable(self, pcs, bufs, waiting) -> list[int]:
+        """Threads that may act: not parked, with ops or buffered entries left."""
+        lens = self._lens
+        return [t for t in range(len(lens))
+                if t not in waiting and (pcs[t] < lens[t] or bufs[t])]
 
-    def _instrument_load(self, load_uid: int, source, counters: ExecutionCounters) -> float:
+    def _instrument_load(self, thread: int, load_uid: int, source,
+                         counters: ExecutionCounters) -> float:
         """Cost charged for one load's observability code; 0 when uninstrumented."""
         mode = self.instrumentation
         if mode is None:
             return 0.0
         if mode == "flush":
             counters.extra_accesses += 1
-            return self.contention.private_store_latency(self.program.op(load_uid).thread)
+            return self.contention.private_store_latency(thread)
         index = self._cand_index.get((load_uid, source))
         if index is None:
             # The observed source lies outside the load's candidate set:
@@ -270,11 +300,6 @@ class OperationalExecutor:
         total = max(b + i for b, i in zip(base_clocks, instr_clocks)) if base_clocks else 0.0
         counters.base_cycles = base
         counters.instrumentation_cycles = max(0.0, total - base)
-
-    def _perturb(self, latency: float) -> float:
-        if self.os_model is not None:
-            return latency + self.os_model.perturb(latency)
-        return latency
 
     # -- fault-point helpers (consulted only when a plane arms them) -------------
 
@@ -315,91 +340,104 @@ class OperationalExecutor:
     # -- TSO machine ---------------------------------------------------------------
 
     def _run_tso(self) -> Execution:
-        program, rng = self.program, self.rng
         memory, ws, clocks = self._fresh_state()
         counters = ExecutionCounters()
-        instr_clocks = [0.0] * program.num_threads
+        instr_clocks = [0.0] * len(clocks)
         rf: dict[int, object] = {}
-        threads = [tp.ops for tp in program.threads]
+        threads, lens = self._threads, self._lens
         pcs = [0] * len(threads)
         sbs: list[list] = [[] for _ in threads]   # entries: (addr, uid)
-        window = self.platform.window_size
         arrived = [0] * len(threads)
         waiting: set[int] = set()
-        lat = self.contention
+        runnable = self._runnable(pcs, sbs, waiting)
+        rng, lat, os_model, plane = self.rng, self.contention, self.os_model, self.plane
+        uniform, sync = self.uniform_random, self.sync_barriers
+        window, drain_prob = self.platform.window_size, self.tuning.drain_prob
+        instrument = self._instrument_load
+        fence_drop = plane is not None and plane.arms("fence.drop")
+        sb_reorder = plane is not None and plane.arms("tso.sb_reorder")
+        alias_forward = plane is not None and plane.arms("tso.sb_forward_alias")
+        stale_read = plane is not None and plane.arms("mem.stale_read")
 
         while True:
-            runnable = [t for t in range(len(threads))
-                        if t not in waiting and (pcs[t] < len(threads[t]) or sbs[t])]
             if not runnable:
-                if waiting:  # all remaining threads wait at the final barrier
-                    waiting.clear()
-                    continue
-                break
-            t = self._pick_thread(clocks, runnable)
-            ops, pc, sb = threads[t], pcs[t], sbs[t]
-            op = ops[pc] if pc < len(ops) else None
-            plane = self.plane
-
-            if op is not None and op.is_barrier:
-                if sb and not (plane is not None and plane.fires("fence.drop")):
-                    action = "drain"
-                else:
-                    # fence.drop: the barrier retires with stores still
-                    # buffered — its store->load ordering effect is lost
-                    pcs[t] += 1
-                    clocks[t] += 1.0
-                    if self.sync_barriers:
-                        arrived[t] += 1
-                        waiting.add(t)
-                        self._release_sync(arrived, pcs, threads, waiting, clocks)
-                    continue
-            elif op is None:
-                action = "drain"
-            elif not sb:
-                action = "issue"
-            elif len(sb) >= window or rng.random() < self.tuning.drain_prob:
-                action = "drain"
+                if not waiting:
+                    break
+                waiting.clear()  # all remaining threads wait at the final barrier
+                runnable = self._runnable(pcs, sbs, waiting)
+                continue
+            if uniform:
+                t = rng.choice(runnable)
             else:
-                action = "issue"
+                t = runnable[0]
+                best = clocks[t]
+                for u in runnable:
+                    if clocks[u] < best:
+                        t, best = u, clocks[u]
+            sb, pc = sbs[t], pcs[t]
 
-            if action == "drain":
-                drain_at = 0
-                if plane is not None and len(sb) > 1 \
-                        and plane.fires("tso.sb_reorder"):
+            if pc == lens[t]:
+                drain = True
+            else:
+                kind, addr, uid = threads[t][pc]
+                if kind is _BARRIER:
+                    drain = bool(sb) and not (fence_drop and plane.fires("fence.drop"))
+                    if not drain:
+                        # the buffer is empty, or fence.drop retires the
+                        # barrier with stores still buffered — its
+                        # store->load ordering effect is lost
+                        pcs[t] = pc + 1
+                        clocks[t] += 1.0
+                        if sync:
+                            runnable = self._arrive(t, arrived, pcs, sbs, waiting,
+                                                    clocks, runnable)
+                        elif not sb and pc + 1 == lens[t]:
+                            runnable.remove(t)
+                        continue
+                else:
+                    drain = bool(sb) and (len(sb) >= window
+                                          or rng.random() < drain_prob)
+
+            if drain:
+                if sb_reorder and len(sb) > 1 and plane.fires("tso.sb_reorder"):
                     # non-FIFO drain: a younger buffered store reaches
                     # memory ahead of the oldest one
-                    drain_at = 1 + plane.pick_index(len(sb) - 1)
-                addr, uid = sb.pop(drain_at)
+                    addr, uid = sb.pop(1 + plane.pick_index(len(sb) - 1))
+                else:
+                    addr, uid = sb.pop(0)
                 memory[addr] = uid
                 ws[addr].append(uid)
-                clocks[t] += self._perturb(lat.store_latency(t, addr))
-                continue
-
-            pcs[t] += 1
-            counters.test_accesses += 1
-            if op.is_store:
-                sb.append((op.addr, op.uid))
-                latency = 1.0 + rng.random()
+                latency = lat.store_latency(t, addr)
+                if not sb and pc == lens[t]:
+                    runnable.remove(t)
             else:
-                source = None
-                for addr, uid in reversed(sb):
-                    if addr == op.addr:
-                        source = uid
-                        break
-                if source is None and plane is not None \
-                        and plane.arms("tso.sb_forward_alias"):
-                    source = self._alias_forward(sb, op.addr, plane)
-                if source is not None:
-                    latency = 2.0 + rng.random()     # store-to-load forwarding
+                pcs[t] = pc + 1
+                counters.test_accesses += 1
+                if kind is _STORE:
+                    sb.append((addr, uid))
+                    latency = 1.0 + rng.random()
                 else:
-                    source = memory.get(op.addr, INIT)
-                    if plane is not None and plane.arms("mem.stale_read"):
-                        source = self._stale_read(ws[op.addr], source, plane)
-                    latency = lat.load_latency(t, op.addr)
-                rf[op.uid] = source
-                instr_clocks[t] += self._instrument_load(op.uid, source, counters)
-            clocks[t] += self._perturb(latency)
+                    source = None
+                    for entry_addr, entry_uid in reversed(sb):
+                        if entry_addr == addr:
+                            source = entry_uid
+                            break
+                    if source is None and alias_forward:
+                        source = self._alias_forward(sb, addr, plane)
+                    if source is not None:
+                        latency = 2.0 + rng.random()     # store-to-load forwarding
+                    else:
+                        source = memory.get(addr, INIT)
+                        if stale_read:
+                            source = self._stale_read(ws[addr], source, plane)
+                        latency = lat.load_latency(t, addr)
+                    rf[uid] = source
+                    instr_clocks[t] += instrument(t, uid, source, counters)
+                    if not sb and pc + 1 == lens[t]:
+                        runnable.remove(t)
+            if os_model is not None:
+                latency += os_model.perturb(latency)
+            clocks[t] += latency
 
         self._finish(counters, clocks, instr_clocks)
         return Execution(rf, ws, counters)
@@ -407,67 +445,106 @@ class OperationalExecutor:
     # -- weak-ordering machine --------------------------------------------------------
 
     def _run_weak(self) -> Execution:
-        program, rng = self.program, self.rng
         memory, ws, clocks = self._fresh_state()
         counters = ExecutionCounters()
-        instr_clocks = [0.0] * program.num_threads
+        instr_clocks = [0.0] * len(clocks)
         rf: dict[int, object] = {}
-        threads = [tp.ops for tp in program.threads]
+        threads, lens = self._threads, self._lens
         pcs = [0] * len(threads)
-        windows: list[list] = [[] for _ in threads]
-        capacity = self.platform.window_size
+        windows: list[list] = [[] for _ in threads]   # entries: op tuples
         arrived = [0] * len(threads)
         waiting: set[int] = set()
-        lat = self.contention
+        runnable = self._runnable(pcs, windows, waiting)
+        rng, lat, os_model, plane = self.rng, self.contention, self.os_model, self.plane
+        uniform, sync = self.uniform_random, self.sync_barriers
+        capacity = self.platform.window_size
+        fetch_prob, bias = self.tuning.fetch_prob, self.tuning.in_order_bias
+        instrument = self._instrument_load
+        stale_read = plane is not None and plane.arms("mem.stale_read")
 
         while True:
-            runnable = [t for t in range(len(threads))
-                        if t not in waiting and (pcs[t] < len(threads[t]) or windows[t])]
             if not runnable:
-                if waiting:
-                    waiting.clear()
-                    continue
-                break
-            t = self._pick_thread(clocks, runnable)
-            ops, pc, win = threads[t], pcs[t], windows[t]
-            plane = self.plane
+                if not waiting:
+                    break
+                waiting.clear()  # all remaining threads wait at the final barrier
+                runnable = self._runnable(pcs, windows, waiting)
+                continue
+            if uniform:
+                t = rng.choice(runnable)
+            else:
+                t = runnable[0]
+                best = clocks[t]
+                for u in runnable:
+                    if clocks[u] < best:
+                        t, best = u, clocks[u]
+            win, pc = windows[t], pcs[t]
 
-            can_fetch = pc < len(ops) and len(win) < capacity
-            eligible = self._eligible(win)
-            if plane is not None and win:
-                eligible = self._mutated_eligible(win, eligible, plane)
-            if can_fetch and (not eligible or rng.random() < self.tuning.fetch_prob):
-                win.append(ops[pc])
-                pcs[t] += 1
+            # Without a plane the oldest entry is always eligible, so the
+            # window can complete something exactly when it is non-empty.
+            eligible = None
+            if plane is None:
+                blocked = not win
+            else:
+                eligible = self._eligible(win)
+                if win:
+                    eligible = self._mutated_eligible(win, eligible, plane)
+                blocked = not eligible
+            if pc < lens[t] and len(win) < capacity \
+                    and (blocked or rng.random() < fetch_prob):
+                win.append(threads[t][pc])
+                pcs[t] = pc + 1
                 clocks[t] += _FETCH_COST
                 continue
-            if not eligible:
+            if blocked:
                 # A non-empty window always has an eligible entry (the
                 # oldest op or barrier), and an empty window with pending
-                # pc always allows a fetch; anything else is a logic error.
+                # ops allows a fetch unless the platform's window holds
+                # nothing; anything else is a logic error.
                 raise ExecutionError("weak machine wedged on thread %d" % t)
 
-            op = win.pop(self._pick_eligible(eligible))
-            if op.is_barrier:
-                clocks[t] += 1.0
-                if self.sync_barriers:
-                    arrived[t] += 1
-                    waiting.add(t)
-                    self._release_sync(arrived, pcs, threads, waiting, clocks)
-                continue
-            counters.test_accesses += 1
-            if op.is_store:
-                memory[op.addr] = op.uid
-                ws[op.addr].append(op.uid)
-                latency = lat.store_latency(t, op.addr)
+            if eligible is not None:
+                pick = self._pick_eligible(eligible)
             else:
-                source = memory.get(op.addr, INIT)
-                if plane is not None and plane.arms("mem.stale_read"):
-                    source = self._stale_read(ws[op.addr], source, plane)
-                rf[op.uid] = source
-                latency = lat.load_latency(t, op.addr)
-                instr_clocks[t] += self._instrument_load(op.uid, source, counters)
-            clocks[t] += self._perturb(latency)
+                # lazy _pick_eligible(_eligible(win)): draw for an eligible
+                # entry only once a younger eligible entry turns up
+                pick = 0
+                if len(win) > 1 and win[0][0] is not _BARRIER:
+                    seen = {win[0][1]}
+                    for j in range(1, len(win)):
+                        kind, addr, _ = win[j]
+                        if kind is _BARRIER:
+                            break
+                        if addr not in seen:
+                            if rng.random() < bias:
+                                break
+                            pick = j
+                            seen.add(addr)
+            kind, addr, uid = win.pop(pick)
+            if kind is _BARRIER:
+                clocks[t] += 1.0
+                if sync:
+                    runnable = self._arrive(t, arrived, pcs, windows, waiting,
+                                            clocks, runnable)
+                elif not win and pc == lens[t]:
+                    runnable.remove(t)
+                continue
+            if not win and pc == lens[t]:
+                runnable.remove(t)
+            counters.test_accesses += 1
+            if kind is _STORE:
+                memory[addr] = uid
+                ws[addr].append(uid)
+                latency = lat.store_latency(t, addr)
+            else:
+                source = memory.get(addr, INIT)
+                if stale_read:
+                    source = self._stale_read(ws[addr], source, plane)
+                rf[uid] = source
+                latency = lat.load_latency(t, addr)
+                instr_clocks[t] += instrument(t, uid, source, counters)
+            if os_model is not None:
+                latency += os_model.perturb(latency)
+            clocks[t] += latency
 
         self._finish(counters, clocks, instr_clocks)
         return Execution(rf, ws, counters)
@@ -511,8 +588,8 @@ class OperationalExecutor:
         """
         eligible = []
         seen_addrs: set = set()
-        for i, op in enumerate(window):
-            if op.is_barrier:
+        for i, (kind, addr, _) in enumerate(window):
+            if kind is _BARRIER:
                 if drop_fences:
                     eligible.append(i)
                     continue
@@ -520,9 +597,9 @@ class OperationalExecutor:
                     eligible.append(0)
                 break
             if drop_fences:
-                if op.addr not in seen_addrs:
+                if addr not in seen_addrs:
                     eligible.append(i)
-                    seen_addrs.add(op.addr)
+                    seen_addrs.add(addr)
             else:
                 eligible.append(i)
         return eligible
@@ -550,83 +627,105 @@ class OperationalExecutor:
         """
         eligible = []
         seen_addrs = set()
-        for i, op in enumerate(window):
-            if op.is_barrier:
+        for i, (kind, addr, _) in enumerate(window):
+            if kind is _BARRIER:
                 if i == 0:
                     eligible.append(0)
                 break
-            if op.addr not in seen_addrs:
+            if addr not in seen_addrs:
                 eligible.append(i)
-                seen_addrs.add(op.addr)
+                seen_addrs.add(addr)
         return eligible
 
     # -- SC machine -------------------------------------------------------------------
 
     def _run_sc(self) -> Execution:
-        program = self.program
         memory, ws, clocks = self._fresh_state()
         counters = ExecutionCounters()
-        instr_clocks = [0.0] * program.num_threads
+        instr_clocks = [0.0] * len(clocks)
         rf: dict[int, object] = {}
-        threads = [tp.ops for tp in program.threads]
+        threads, lens = self._threads, self._lens
         pcs = [0] * len(threads)
+        unbuffered = [()] * len(threads)   # SC buffers nothing
         arrived = [0] * len(threads)
         waiting: set[int] = set()
-        lat = self.contention
+        runnable = self._runnable(pcs, unbuffered, waiting)
+        rng, lat, os_model, plane = self.rng, self.contention, self.os_model, self.plane
+        uniform, sync = self.uniform_random, self.sync_barriers
+        instrument = self._instrument_load
+        stale_read = plane is not None and plane.arms("mem.stale_read")
 
         while True:
-            runnable = [t for t in range(len(threads))
-                        if t not in waiting and pcs[t] < len(threads[t])]
             if not runnable:
-                if waiting:
-                    waiting.clear()
-                    continue
-                break
-            t = self._pick_thread(clocks, runnable)
-            op = threads[t][pcs[t]]
-            plane = self.plane
-            pcs[t] += 1
-            if op.is_barrier:
-                clocks[t] += 1.0
-                if self.sync_barriers:
-                    arrived[t] += 1
-                    waiting.add(t)
-                    self._release_sync(arrived, pcs, threads, waiting, clocks)
+                if not waiting:
+                    break
+                waiting.clear()  # all remaining threads wait at the final barrier
+                runnable = self._runnable(pcs, unbuffered, waiting)
                 continue
-            counters.test_accesses += 1
-            if op.is_store:
-                memory[op.addr] = op.uid
-                ws[op.addr].append(op.uid)
-                latency = lat.store_latency(t, op.addr)
+            if uniform:
+                t = rng.choice(runnable)
             else:
-                source = memory.get(op.addr, INIT)
-                if plane is not None and plane.arms("mem.stale_read"):
-                    source = self._stale_read(ws[op.addr], source, plane)
-                rf[op.uid] = source
-                latency = lat.load_latency(t, op.addr)
-                instr_clocks[t] += self._instrument_load(op.uid, source, counters)
-            clocks[t] += self._perturb(latency)
+                t = runnable[0]
+                best = clocks[t]
+                for u in runnable:
+                    if clocks[u] < best:
+                        t, best = u, clocks[u]
+            kind, addr, uid = threads[t][pcs[t]]
+            pcs[t] += 1
+            if kind is _BARRIER:
+                clocks[t] += 1.0
+                if sync:
+                    runnable = self._arrive(t, arrived, pcs, unbuffered, waiting,
+                                            clocks, runnable)
+                elif pcs[t] == lens[t]:
+                    runnable.remove(t)
+                continue
+            if pcs[t] == lens[t]:
+                runnable.remove(t)
+            counters.test_accesses += 1
+            if kind is _STORE:
+                memory[addr] = uid
+                ws[addr].append(uid)
+                latency = lat.store_latency(t, addr)
+            else:
+                source = memory.get(addr, INIT)
+                if stale_read:
+                    source = self._stale_read(ws[addr], source, plane)
+                rf[uid] = source
+                latency = lat.load_latency(t, addr)
+                instr_clocks[t] += instrument(t, uid, source, counters)
+            if os_model is not None:
+                latency += os_model.perturb(latency)
+            clocks[t] += latency
 
         self._finish(counters, clocks, instr_clocks)
         return Execution(rf, ws, counters)
 
     # -- rendezvous -------------------------------------------------------------------
 
-    def _release_sync(self, arrived, pcs, threads, waiting, clocks) -> None:
-        """Release barrier waiters once every unfinished thread caught up.
+    def _arrive(self, t, arrived, pcs, bufs, waiting, clocks, runnable) -> list[int]:
+        """Park thread ``t`` at a sync barrier; return the runnable list.
 
-        A thread that already ran past its last barrier (or finished) never
-        holds others back.  Requires aligned barrier counts for meaningful
-        epoch semantics (as produced by :func:`repro.instrument.regularize`).
+        The waiters are released once every unfinished thread caught up:
+        a thread that already ran past its last barrier (or finished)
+        never holds others back.  Requires aligned barrier counts for
+        meaningful epoch semantics (as produced by
+        :func:`repro.instrument.regularize`).  ``t`` leaves the runnable
+        list, which is rebuilt only when the waiters are released.
         """
+        arrived[t] += 1
+        waiting.add(t)
+        runnable.remove(t)
+        lens = self._lens
         lagging = min(
-            (arrived[t] for t in range(len(threads))
-             if t not in waiting and pcs[t] < len(threads[t])),
+            (arrived[u] for u in range(len(lens))
+             if u not in waiting and pcs[u] < lens[u]),
             default=None)
-        target = min(arrived[t] for t in waiting)
+        target = min(arrived[u] for u in waiting)
         if lagging is not None and lagging < target:
-            return
-        release_time = max(clocks[t] for t in waiting)
-        for t in list(waiting):
-            waiting.discard(t)
-            clocks[t] = max(clocks[t], release_time) + self.rng.random() * self.tuning.start_skew
+            return runnable
+        release_time = max(clocks[u] for u in waiting)
+        for u in list(waiting):
+            waiting.discard(u)
+            clocks[u] = max(clocks[u], release_time) + self.rng.random() * self.tuning.start_skew
+        return self._runnable(pcs, bufs, waiting)

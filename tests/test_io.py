@@ -142,7 +142,10 @@ class TestSignatureEntries:
                       {"words": [[1]], "count": 0},
                       {"words": [[1]], "count": -3},
                       {"words": [[1]], "count": 2.9},
-                      {"words": [[1]], "count": True}):
+                      {"words": [[1]], "count": True},
+                      {"words": [[2.9]]}, {"words": [[True]]},
+                      {"words": [["7"]]}, {"words": [[-5]]},
+                      {"words": [[1], [3, 2.0]]}):
             with pytest.raises(repro_io.FormatError):
                 repro_io.signature_from_entry(entry)
 

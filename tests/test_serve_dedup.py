@@ -91,6 +91,18 @@ class TestJournal:
             assert again.observe("c", _sig(1)) is not None
             assert again.observe("c", _sig(2)) is None
 
+    def test_line_with_a_bad_word_skipped(self, tmp_path):
+        path = tmp_path / "dedup.jsonl"
+        with SignatureDedupStore(str(path)) as store:
+            store.record("c", _sig(1), violation=False)
+        with open(path, "a") as handle:
+            handle.write('{"campaign": "c", "words": [[2.9]], '
+                         '"violation": true}\n')
+        with SignatureDedupStore(str(path)) as again:
+            assert again.observe("c", _sig(1)) is not None
+            assert again.observe("c", _sig(2)) is None
+            assert again.unique_signatures == 1
+
     def test_journal_lines_are_json(self, tmp_path):
         path = tmp_path / "dedup.jsonl"
         with SignatureDedupStore(str(path)) as store:

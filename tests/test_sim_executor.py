@@ -1,5 +1,7 @@
 """Unit tests for the fast operational executor."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ExecutionError
@@ -18,6 +20,14 @@ _STRESS = __import__("repro.sim.executor", fromlist=["Tuning"]).Tuning(
     in_order_bias=0.55, fetch_prob=0.75, start_skew=2.0)
 
 
+def _shows(lt, execution) -> bool:
+    """Whether ``execution`` shows litmus test ``lt``'s interesting outcome."""
+    hit = all(execution.rf.get(k) == v for k, v in lt.interesting_rf.items())
+    if hit and lt.interesting_ws is not None:
+        hit = all(execution.ws.get(a) == c for a, c in lt.interesting_ws.items())
+    return hit
+
+
 class TestLitmusCompliance:
     """The executor must produce exactly the allowed outcomes per model."""
 
@@ -28,10 +38,7 @@ class TestLitmusCompliance:
                 continue
             ex = OperationalExecutor(lt.program, model, seed=3, tuning=_STRESS)
             for e in ex.run(800):
-                hit = all(e.rf.get(k) == v for k, v in lt.interesting_rf.items())
-                if hit and lt.interesting_ws is not None:
-                    hit = all(e.ws.get(a) == c for a, c in lt.interesting_ws.items())
-                assert not hit, (lt.name, model.name)
+                assert not _shows(lt, e), (lt.name, model.name)
 
     @pytest.mark.parametrize("model", [TSO, WEAK], ids=lambda m: m.name)
     def test_allowed_relaxed_outcomes_do_appear(self, model):
@@ -39,15 +46,7 @@ class TestLitmusCompliance:
             if not lt.allowed[model.name] or lt.allowed["sc"]:
                 continue
             ex = OperationalExecutor(lt.program, model, seed=3, tuning=_STRESS)
-            seen = False
-            for e in ex.run(6000):
-                hit = all(e.rf.get(k) == v for k, v in lt.interesting_rf.items())
-                if hit and lt.interesting_ws is not None:
-                    hit = all(e.ws.get(a) == c for a, c in lt.interesting_ws.items())
-                if hit:
-                    seen = True
-                    break
-            assert seen, (lt.name, model.name)
+            assert any(_shows(lt, e) for e in ex.run(6000)), (lt.name, model.name)
 
 
 class TestExecutionShape:
@@ -193,3 +192,33 @@ class TestPlatforms:
         ex = OperationalExecutor(small_program, SC, seed=1, uniform_random=True)
         e = ex.run_one()
         assert set(e.rf) == {op.uid for op in small_program.loads}
+
+
+class TestWindowCapacity:
+    """``Platform.window_size`` bounds the weak window and the TSO buffer."""
+
+    def test_weak_machine_without_a_window_is_a_typed_error(self, small_program):
+        platform = replace(ARM_BIG_LITTLE, window_size=0)
+        ex = OperationalExecutor(small_program, WEAK, platform, seed=1)
+        with pytest.raises(ExecutionError, match="weak machine wedged"):
+            ex.run_one()
+
+    @pytest.mark.parametrize("model, platform", [
+        (TSO, replace(X86_DESKTOP, window_size=0)),
+        (WEAK, replace(ARM_BIG_LITTLE, window_size=1)),
+    ], ids=["tso-window-0", "weak-window-1"])
+    def test_minimal_window_runs_in_program_order(self, model, platform,
+                                                  small_program):
+        """A zero-entry store buffer drains each store before its thread
+        issues again; a one-entry window completes each op before the
+        next is fetched.  Either way no SC-forbidden outcome shows."""
+        ex = OperationalExecutor(small_program, model, platform, seed=1)
+        for e in ex.run(20):
+            assert set(e.rf) == {op.uid for op in small_program.loads}
+            assert sum(map(len, e.ws.values())) == len(small_program.stores)
+        for lt in all_litmus_tests():
+            if lt.allowed["sc"]:
+                continue
+            ex = OperationalExecutor(lt.program, model, platform, seed=3,
+                                     tuning=_STRESS)
+            assert not any(_shows(lt, e) for e in ex.run(300)), lt.name
