@@ -3,13 +3,15 @@
 Every unique execution's constraint graph is independently and completely
 topologically sorted — the approach of TSOtool [24] and of the paper's
 ``tsort``-based comparison point.  Figure 9 measures MTraceCheck's
-collective checker against exactly this.
+collective checker against exactly this.  Each sort is the list-indexed
+Kahn of :func:`~repro.graph.toposort.complete_sort`, the stand-in for
+``tsort``'s C loop, with one in-degree scratch reused across graphs.
 """
 
 from __future__ import annotations
 
 from repro.graph.constraint_graph import ConstraintGraph
-from repro.graph.toposort import find_cycle, topological_sort
+from repro.graph.toposort import complete_sort, find_cycle
 from repro.checker.results import COMPLETE, CheckReport, Verdict
 from repro.obs import get_obs
 
@@ -50,11 +52,12 @@ class BaselineChecker:
         report = CheckReport()
         vertices = range(num_vertices)
         report.num_vertices_per_graph = num_vertices
+        indegree = [0] * num_vertices
 
         obs = get_obs()
         with obs.span("checker.baseline") as span:
             for index, graph in enumerate(graphs):
-                order = topological_sort(vertices, graph.adjacency)
+                order = complete_sort(graph.adjacency, num_vertices, indegree)
                 report.sorted_vertices += num_vertices
                 if order is None:
                     cycle = tuple(find_cycle(vertices, graph.adjacency))

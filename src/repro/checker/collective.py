@@ -27,12 +27,11 @@ graph, exactly when one exists.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import count
 
 from repro.graph.constraint_graph import ConstraintGraph
-from repro.graph.toposort import find_cycle, topological_sort
+from repro.graph.toposort import complete_sort, find_cycle, topological_sort
 from repro.checker.results import (
     COMPLETE,
     INCREMENTAL,
@@ -83,13 +82,14 @@ class CollectiveChecker:
 
         order: list[int] | None = None       # topological order of the base graph
         position: list[int] = [0] * num_vertices
+        indegree = [0] * num_vertices        # complete_sort scratch
         base_edges: frozenset | None = None
 
         for index, graph in enumerate(graphs):
             if order is None:
                 # First graph (or: no valid base yet) — complete check.
-                candidate = topological_sort(vertices, graph.adjacency,
-                                             key=self.initial_key)
+                candidate = complete_sort(graph.adjacency, num_vertices,
+                                          indegree, self.initial_key)
                 report.sorted_vertices += num_vertices
                 if candidate is None:
                     cycle = tuple(find_cycle(vertices, graph.adjacency))
@@ -229,8 +229,8 @@ class CollectiveChecker:
                 # every tie-break identical to the legacy pipeline.
                 adjacency = (state.adjacency if index == 0
                              else source.full_graph(index).adjacency)
-                candidate = self._complete_sort(adjacency, num_vertices,
-                                                indegree, self.initial_key)
+                candidate = complete_sort(adjacency, num_vertices, indegree,
+                                          self.initial_key)
                 report.sorted_vertices += num_vertices
                 if candidate is None:
                     cycle = tuple(find_cycle(vertices, adjacency))
@@ -323,54 +323,6 @@ class CollectiveChecker:
         if len(result) != len(window):
             for v in window:
                 indegree[v] = 0
-            return None
-        return result
-
-    @staticmethod
-    def _complete_sort(adjacency, num_vertices, indegree, key):
-        """Complete Kahn sort, tie-for-tie identical to the generic one.
-
-        Produces exactly ``topological_sort(range(num_vertices),
-        adjacency, key=key)`` — same FIFO tie-breaking without a key,
-        same ``(key(v), v)`` heap with one — but specialized for the
-        delta stream: every vertex is a member (no membership set to
-        build) and in-degrees live in the stream's preallocated scratch
-        array, zeroed again on exit.
-
-        Returns the order, or None when the graph is cyclic.
-        """
-        for succs in adjacency.values():
-            for w in succs:
-                indegree[w] += 1
-        empty = ()
-        result = []
-        append = result.append
-        if key is None:
-            ready = deque(v for v in range(num_vertices) if not indegree[v])
-            pop = ready.popleft
-            push = ready.append
-            while ready:
-                v = pop()
-                append(v)
-                for w in adjacency.get(v, empty):
-                    remaining = indegree[w] - 1
-                    indegree[w] = remaining
-                    if not remaining:
-                        push(w)
-        else:
-            heap = [(key(v), v) for v in range(num_vertices) if not indegree[v]]
-            heapify(heap)
-            while heap:
-                v = heappop(heap)[1]
-                append(v)
-                for w in adjacency.get(v, empty):
-                    remaining = indegree[w] - 1
-                    indegree[w] = remaining
-                    if not remaining:
-                        heappush(heap, (key(w), w))
-        for v in range(num_vertices):
-            indegree[v] = 0
-        if len(result) != num_vertices:
             return None
         return result
 

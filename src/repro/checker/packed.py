@@ -8,7 +8,7 @@ once per campaign into flat arrays:
 
 * the **edge universe** — every (src, dst) pair any execution of the
   program can contribute (static edges plus the per-load rf/fr candidate
-  table from :meth:`GraphBuilder.load_edge_table`) — indexed ``0..E-1``
+  table from :meth:`GraphBuilder.dynamic_edge_pairs`) — indexed ``0..E-1``
   with int32 endpoint arrays and a CSR-style ``offsets/targets`` layout
   grouped by source vertex;
 * the **digits matrix** — the block of signatures decoded at once into
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from array import array
 
-from repro.checker.collective import CollectiveChecker
 from repro.checker.results import (
     COMPLETE,
     INCREMENTAL,
@@ -54,7 +53,7 @@ from repro.checker.results import (
 )
 from repro.errors import CheckerError, SignatureError
 from repro.graph.delta import DeltaGraphState
-from repro.graph.toposort import find_cycle
+from repro.graph.toposort import complete_sort, find_cycle
 from repro.obs import get_obs
 
 
@@ -139,7 +138,6 @@ class PackedPlan:
         ``_col_edges[c][digit]`` as edge-index tuples.
         """
         builder = self.builder
-        builder.load_edge_table(self.codec.candidates)
         pair_index: dict = {}
         esrc = array("i")
         edst = array("i")
@@ -293,8 +291,8 @@ class PackedPlan:
         # Kahn, no tie-break key), so compile it once here; checkers with
         # a custom initial_key re-sort live
         scratch = array("i", bytes(4 * self.num_vertices))
-        self.base_order = CollectiveChecker._complete_sort(
-            self.initial_adjacency, self.num_vertices, scratch, None)
+        self.base_order = complete_sort(self.initial_adjacency,
+                                        self.num_vertices, scratch)
         if self.base_order is None:
             self.base_position = None
         else:
@@ -424,8 +422,8 @@ class PackedChecker:
                 else:
                     adjacency = (plan.initial_adjacency if index == 0
                                  else plan.full_graph(index).adjacency)
-                    candidate = CollectiveChecker._complete_sort(
-                        adjacency, num_vertices, indegree, self.initial_key)
+                    candidate = complete_sort(adjacency, num_vertices,
+                                              indegree, self.initial_key)
                 if candidate is None:
                     cycle = tuple(find_cycle(vertices, adjacency))
                     verdicts_append(

@@ -4,7 +4,7 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.delta import DeltaGraphState, GraphDelta
 from repro.graph.export import to_dot, to_networkx
 from repro.graph.constraint_graph import FR, PO, RF, WS, ConstraintGraph, Edge
-from repro.graph.toposort import find_cycle, topological_sort
+from repro.graph.toposort import complete_sort, find_cycle, topological_sort
 
 __all__ = [
     "FR",
@@ -16,6 +16,7 @@ __all__ = [
     "Edge",
     "GraphBuilder",
     "GraphDelta",
+    "complete_sort",
     "find_cycle",
     "to_dot",
     "to_networkx",

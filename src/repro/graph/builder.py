@@ -1,8 +1,9 @@
 """Building constraint graphs from decoded signatures (paper Section 3.2).
 
 Everything static — the MCM's intra-thread edges, store locations, vertex
-IDs — is computed once per test at construction; :meth:`GraphBuilder.build`
-then adds the dynamic edges of one execution.
+IDs — is computed once per test at construction, the static edges into a
+template graph; :meth:`GraphBuilder.build` copies the template and adds the
+dynamic edges of one execution.
 
 Dependency-edge rules (notation of [4, 32], as adopted by the paper):
 
@@ -73,9 +74,16 @@ class GraphBuilder:
         self.static_edges: tuple[Edge, ...] = tuple(static_edges)
         self._static_pairs: tuple[tuple[int, int], ...] = tuple(
             (e.src, e.dst) for e in static_edges if e.src != e.dst)
-        #: (load uid, source) -> dynamic pair tuple; filled by dynamic_edge_pairs
-        self._edge_table: dict[tuple[int, object],
-                               tuple[tuple[int, int], ...]] = {}
+        #: every build starts as a copy of this graph of the static edges
+        self._template = ConstraintGraph(program.num_ops, static_edges)
+        #: (load uid, source) -> (pairs, kinds) of the load's static-mode
+        #: rf/fr edges; filled on demand by :meth:`_dynamic`
+        self._edge_table: dict[tuple[int, object], tuple] = {}
+        #: address -> its store uids: an observed ws chain must list
+        #: exactly these, each once
+        self._stores_at: dict[int, frozenset] = {
+            addr: frozenset(st.uid for st in program.stores_to(addr))
+            for addr in self._first_stores}
 
     def build(self, rf: dict[int, object], ws: dict[int, list[int]] = None) -> ConstraintGraph:
         """Build the constraint graph of one execution.
@@ -89,31 +97,52 @@ class GraphBuilder:
             The typed constraint graph; cyclic iff the execution violates
             the memory model (up to the completeness of the ws mode).
         """
-        graph = ConstraintGraph(self.program.num_ops, self.static_edges)
+        graph = self._template.copy()
         if self.ws_mode == "observed":
-            self._add_observed(graph, rf, ws)
-        else:
-            self._add_static(graph, rf)
+            graph.add_pairs(*self._observed_edges(rf, ws))
+            return graph
+        table = self._edge_table
+        pairs: list = []
+        kinds: list = []
+        for key in rf.items():  # (load uid, source): the memo's key
+            entry = table.get(key) or self._dynamic(*key)
+            pairs += entry[0]
+            kinds += entry[1]
+        graph.add_pairs(pairs, kinds)
         return graph
 
     # -- static (paper) mode ----------------------------------------------------
 
-    def _add_static(self, graph: ConstraintGraph, rf: dict[int, object]) -> None:
+    def _dynamic(self, load_uid: int, source) -> tuple:
+        """The static-mode rf/fr rule for one load and its rf source.
+
+        Memoized per ``(load, source)``; returns the choice's edges as
+        ``(pairs, kinds)``, parallel tuples of (src, dst) pairs and
+        their dependency types.
+        """
+        key = (load_uid, source)
+        entry = self._edge_table.get(key)
+        if entry is not None:
+            return entry
         program = self.program
-        for load_uid, source in rf.items():
-            load_op = program.op(load_uid)
-            if source is INIT or source == INIT:
-                # INIT is coherence-first: the load precedes every thread's
-                # first store to the address.
-                for st_uid in self._first_stores.get(load_op.addr, ()):
-                    graph.add_edge(Edge(load_uid, st_uid, FR))
-                continue
-            store_op = program.op(source)
-            if store_op.thread != load_op.thread:
-                graph.add_edge(Edge(source, load_uid, RF))
+        load_op = program.op(load_uid)
+        pairs, kinds = [], []
+        if source is INIT or source == INIT:
+            # INIT is coherence-first: the load precedes every thread's
+            # first store to the address.
+            for st_uid in self._first_stores.get(load_op.addr, ()):
+                pairs.append((load_uid, st_uid))
+                kinds.append(FR)
+        else:
+            if program.op(source).thread != load_op.thread:
+                pairs.append((source, load_uid))
+                kinds.append(RF)
             successor = self._po_next_store.get(source)
             if successor is not None:
-                graph.add_edge(Edge(load_uid, successor, FR))
+                pairs.append((load_uid, successor))
+                kinds.append(FR)
+        entry = self._edge_table[key] = (tuple(pairs), tuple(kinds))
+        return entry
 
     # -- per-load edge table (delta pipeline) -----------------------------------
 
@@ -127,35 +156,16 @@ class GraphBuilder:
         between two signature-adjacent graphs is a table lookup over the
         changed digits.  Entries are memoized per (load, candidate) —
         over a checking stream the table converges to the full static
-        (load, rf-candidate) edge table with each entry computed once.
-        Bare pairs, not typed :class:`Edge` objects: the delta pipeline
-        tracks presence only (witness rendering rebuilds the one
-        violating graph, types intact).
+        (load, rf-candidate) edge table with each entry computed once —
+        and shared with :meth:`build`, which adds the same edges typed.
+        Bare pairs: the delta pipeline tracks presence only (witness
+        rendering rebuilds the one violating graph, types intact).
         """
         if self.ws_mode != "static":
             raise CheckerError("per-load edge tables exist only in static "
                                "ws_mode (observed graphs are not a function "
                                "of the signature alone)")
-        key = (load_uid, source)
-        pairs = self._edge_table.get(key)
-        if pairs is None:
-            pairs = self._dynamic_pairs_uncached(load_uid, source)
-            self._edge_table[key] = pairs
-        return pairs
-
-    def _dynamic_pairs_uncached(self, load_uid: int, source) -> tuple:
-        load_op = self.program.op(load_uid)
-        if source is INIT or source == INIT:
-            return tuple((load_uid, st_uid)
-                         for st_uid in self._first_stores.get(load_op.addr, ()))
-        pairs = []
-        store_op = self.program.op(source)
-        if store_op.thread != load_op.thread:
-            pairs.append((source, load_uid))
-        successor = self._po_next_store.get(source)
-        if successor is not None:
-            pairs.append((load_uid, successor))
-        return tuple(pairs)
+        return self._dynamic(load_uid, source)[0]
 
     @property
     def static_pairs(self) -> tuple:
@@ -166,27 +176,6 @@ class GraphBuilder:
         matching what a refcounted delta state counts.
         """
         return self._static_pairs
-
-    def load_edge_table(self, candidates: dict) -> dict:
-        """Eagerly materialize the complete (load, candidate) edge table.
-
-        Equivalent to what a delta-checking stream fills lazily through
-        :meth:`dynamic_edge_pairs`, but computed up front in deterministic
-        (uid, candidate-order) order — the packed pipeline builds its flat
-        edge universe from this table once per campaign.
-
-        Args:
-            candidates: load uid -> rf candidate list (the codec's static
-                analysis), candidates in canonical order.
-
-        Returns:
-            The (load uid, source) -> pair-tuple table, shared with the
-            builder's memo (later lookups are hits).
-        """
-        for uid in sorted(candidates):
-            for source in candidates[uid]:
-                self.dynamic_edge_pairs(uid, source)
-        return self._edge_table
 
     def iter_execution_pairs(self, rf: dict[int, object]):
         """All (src, dst) pairs of one static-ws execution *with
@@ -203,8 +192,9 @@ class GraphBuilder:
 
     # -- observed mode ------------------------------------------------------------
 
-    def _add_observed(self, graph: ConstraintGraph, rf: dict[int, object],
-                      ws: dict[int, list[int]]) -> None:
+    def _observed_edges(self, rf: dict[int, object],
+                        ws: dict[int, list[int]]) -> tuple:
+        """One execution's ws chain and rf/fr edges as ``(pairs, kinds)``."""
         if ws is None:
             raise CheckerError("observed ws_mode requires a ws order")
         program = self.program
@@ -216,18 +206,25 @@ class GraphBuilder:
                 "observed ws order missing chains for store-bearing "
                 "addresses %s (was the dump saved without ws?)"
                 % sorted(missing))
+        pairs: list = []
+        kinds: list = []
         next_in_ws: dict[int, int] = {}
         first_in_ws: dict[int, int] = {}
+        no_stores = frozenset()
         for addr, chain in ws.items():
-            expected = {st.uid for st in program.stores_to(addr)}
-            if set(chain) != expected:
+            # a permutation of the address's stores: a store listed twice
+            # would make the chain's own ws edges a cycle
+            expected = self._stores_at.get(addr, no_stores)
+            if len(chain) != len(expected) or set(chain) != expected:
                 raise CheckerError(
-                    "ws chain for address 0x%x lists %r, program has %r"
+                    "ws chain for address 0x%x lists %r, program has %r "
+                    "(each store exactly once)"
                     % (addr, sorted(chain), sorted(expected)))
             if chain:
                 first_in_ws[addr] = chain[0]
             for a, b in zip(chain, chain[1:]):
-                graph.add_edge(Edge(a, b, WS))
+                pairs.append((a, b))
+                kinds.append(WS)
                 next_in_ws[a] = b
 
         for load_uid, source in rf.items():
@@ -237,7 +234,10 @@ class GraphBuilder:
             else:
                 store_op = program.op(source)
                 if store_op.thread != load_op.thread:
-                    graph.add_edge(Edge(source, load_uid, RF))
+                    pairs.append((source, load_uid))
+                    kinds.append(RF)
                 successor = next_in_ws.get(source)
             if successor is not None:
-                graph.add_edge(Edge(load_uid, successor, FR))
+                pairs.append((load_uid, successor))
+                kinds.append(FR)
+        return pairs, kinds

@@ -40,14 +40,14 @@ class ConstraintGraph:
             IDs are ``range(num_vertices)``).
         edges: iterable of :class:`Edge`.
 
-    The pair set (src, dst) is deduplicated; types are retained for
-    reporting (an rf and a po edge between the same pair collapse into
-    one adjacency entry but both remain queryable via ``edge_kinds``).
+    The pair set (src, dst) is deduplicated; one ``(src, dst) -> kind``
+    dict records both presence and the first dependency type added for
+    the pair (an rf and a po edge between the same pair collapse into
+    one adjacency entry, queryable via :meth:`edge_kind`).
     """
 
     def __init__(self, num_vertices: int, edges=()):
         self.num_vertices = num_vertices
-        self._pairs: set[tuple[int, int]] = set()
         self._kinds: dict[tuple[int, int], str] = {}
         self._edge_pairs: frozenset | None = None
         self.adjacency: dict[int, list[int]] = {}
@@ -55,25 +55,49 @@ class ConstraintGraph:
             self.add_edge(edge)
 
     def add_edge(self, edge: Edge) -> None:
-        if edge.src == edge.dst:
-            return  # self-loops carry no ordering information
-        pair = (edge.src, edge.dst)
-        if pair in self._pairs:
-            return
-        self._pairs.add(pair)
-        self._kinds[pair] = edge.kind
+        self.add_pairs(((edge.src, edge.dst),), (edge.kind,))
+
+    def add_pairs(self, pairs, kinds) -> None:
+        """Add edges given as parallel sequences of (src, dst) pairs and
+        their kinds, in order; the same as one :meth:`add_edge` each."""
+        present = self._kinds
+        adjacency = self.adjacency
+        for pair, kind in zip(pairs, kinds):
+            if pair in present or pair[0] == pair[1]:
+                continue  # self-loops carry no ordering information
+            present[pair] = kind
+            successors = adjacency.get(pair[0])
+            if successors is None:
+                adjacency[pair[0]] = [pair[1]]
+            else:
+                successors.append(pair[1])
         self._edge_pairs = None
-        self.adjacency.setdefault(edge.src, []).append(edge.dst)
+
+    def copy(self) -> "ConstraintGraph":
+        """An independent copy: same pairs, kinds and adjacency order.
+
+        Container copies only (the kind dict and every adjacency list),
+        so a builder can stamp out graphs from one static template at C
+        speed; adding edges to the copy leaves the original unchanged.
+        """
+        new = ConstraintGraph.__new__(ConstraintGraph)
+        new.num_vertices = self.num_vertices
+        new._kinds = self._kinds.copy()
+        new._edge_pairs = self._edge_pairs
+        adjacency = self.adjacency
+        new.adjacency = dict(zip(adjacency, map(list.copy,
+                                                adjacency.values())))
+        return new
 
     @property
     def edge_pairs(self) -> frozenset:
         """Immutable (src, dst) pair set — the unit of graph diffing.
 
         Cached after the first access (the collective checker reads it
-        several times per graph); invalidated by :meth:`add_edge`.
+        several times per graph); invalidated by adding edges.
         """
         if self._edge_pairs is None:
-            self._edge_pairs = frozenset(self._pairs)
+            self._edge_pairs = frozenset(self._kinds)
         return self._edge_pairs
 
     def edge_kind(self, src: int, dst: int) -> str:
@@ -82,13 +106,13 @@ class ConstraintGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._pairs)
+        return len(self._kinds)
 
     def successors(self, vertex: int) -> list[int]:
         return self.adjacency.get(vertex, [])
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self._pairs
+        return pair in self._kinds
 
     def __repr__(self):
         return "ConstraintGraph(V=%d, E=%d)" % (self.num_vertices, self.num_edges)

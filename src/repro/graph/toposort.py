@@ -4,8 +4,11 @@ Kahn's algorithm (the paper's conventional checker is GNU ``tsort``,
 also Kahn-based) plus a DFS cycle extractor used to produce readable
 violation reports like the paper's Figure 13.
 
-All functions operate on a plain adjacency mapping ``{vertex: [succ,...]}``
-restricted to ``vertices`` so the collective checker can re-sort induced
+All functions operate on a plain adjacency mapping ``{vertex: [succ,...]}``.
+:func:`complete_sort` sorts every vertex of a graph (the baseline checks
+each execution with it; the collective checkers use it while they have
+no valid base order); :func:`topological_sort` and :func:`find_cycle`
+restrict to ``vertices``, so the collective checker can re-sort induced
 sub-windows without materializing subgraphs.
 """
 
@@ -13,7 +16,58 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, MutableSequence, Sequence
+
+
+def complete_sort(adjacency: Mapping[int, Sequence[int]], num_vertices: int,
+                  indegree: MutableSequence[int],
+                  key: Callable[[int], object] = None) -> list[int] | None:
+    """Topologically sort all of ``range(num_vertices)``.
+
+    Returns exactly ``topological_sort(range(num_vertices), adjacency,
+    key=key)``, tie for tie: FIFO ties without a key, the same
+    ``(key(v), v)`` heap with one.  Every vertex is a member, so there is
+    no membership test, and in-degrees are counted into ``indegree``, a
+    caller-owned scratch sequence of ``num_vertices`` zeros that is all
+    zero again on return (whether or not the graph is acyclic), so one
+    scratch serves a whole stream of graphs.  Without a key the output
+    list doubles as the FIFO queue.
+
+    Returns the order, or None when the graph is cyclic.
+    """
+    for successors in adjacency.values():
+        for w in successors:
+            indegree[w] += 1
+    empty = ()
+    vertices = range(num_vertices)
+    if key is None:
+        order = [v for v in vertices if not indegree[v]]
+        append = order.append
+        for v in order:  # appended-to while iterated: a FIFO queue
+            for w in adjacency.get(v, empty):
+                remaining = indegree[w] - 1
+                indegree[w] = remaining
+                if not remaining:
+                    append(w)
+    else:
+        order = []
+        append = order.append
+        heap = [(key(v), v) for v in vertices if not indegree[v]]
+        heapq.heapify(heap)
+        heappop, heappush = heapq.heappop, heapq.heappush
+        while heap:
+            v = heappop(heap)[1]
+            append(v)
+            for w in adjacency.get(v, empty):
+                remaining = indegree[w] - 1
+                indegree[w] = remaining
+                if not remaining:
+                    heappush(heap, (key(w), w))
+    if len(order) == num_vertices:
+        return order  # every in-degree was counted back down to zero
+    for v in vertices:
+        indegree[v] = 0
+    return None
 
 
 def topological_sort(vertices: Sequence[int],

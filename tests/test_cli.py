@@ -68,6 +68,23 @@ class TestRunAndCheck:
         capsys.readouterr()
         assert main(["check", dump, "--ws-mode", "observed", "--model", "tso"]) == 0
 
+    def test_check_observed_rejects_repeated_store_in_ws_chain(self, capsys,
+                                                              tmp_path):
+        """A chain listing a store twice is malformed input (exit 2), not
+        a ws cycle to report as a violation (exit 1)."""
+        dump = tmp_path / "d.json"
+        main(["run", "--isa", "x86", "--threads", "2", "--ops", "10",
+              "--addresses", "4", "--iterations", "80", "-o", str(dump)])
+        data = json.loads(dump.read_text())
+        chain = next(chain for entry in data["signatures"]
+                     for chain in entry["ws"].values() if len(chain) > 1)
+        chain.append(chain[0])
+        dump.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["check", str(dump), "--ws-mode", "observed",
+                     "--model", "tso"]) == 2
+        assert "ws chain" in capsys.readouterr().err
+
     def test_run_with_os_flag(self, capsys):
         assert main(["run", "--threads", "2", "--ops", "10", "--addresses", "4",
                      "--iterations", "40", "--os"]) == 0

@@ -1,13 +1,19 @@
 """Unit tests for constraint-graph construction (static vs observed ws)."""
 
+import random
+
 import pytest
 
 from repro.errors import CheckerError
-from repro.graph import FR, RF, GraphBuilder, topological_sort
+from repro.graph import (FR, RF, WS, ConstraintGraph, Edge, GraphBuilder,
+                         topological_sort)
+from repro.harness import Campaign
 from repro.isa import INIT, TestProgram, load, store
 from repro.mcm import SC, TSO, WEAK
 from repro.sim import OperationalExecutor
+from repro.sim.detailed import DetailedExecutor
 from repro.testgen import TestConfig, generate
+from repro.testgen.config import PAPER_CONFIGS
 
 
 @pytest.fixture
@@ -88,8 +94,10 @@ class TestObservedMode:
 
     def test_ws_chain_must_cover_all_stores(self, two_writer_program):
         builder = GraphBuilder(two_writer_program, TSO, ws_mode="observed")
-        with pytest.raises(CheckerError):
-            builder.build({}, {0: [0]})      # store uid 1 missing
+        for chain in ([0],           # store uid 1 missing
+                      [0, 1, 0]):    # store uid 0 twice: a ws cycle
+            with pytest.raises(CheckerError):
+                builder.build({}, {0: chain})
 
     def test_ws_chain_edges(self, two_writer_program):
         p = two_writer_program
@@ -173,3 +181,111 @@ class TestObservedWsCoverage:
         builder = GraphBuilder(two_writer_program, TSO, ws_mode="observed")
         with pytest.raises(CheckerError):
             builder.build({}, {1: []})      # address 0 has stores, no chain
+
+
+def reference_graph(builder, rf, ws=None):
+    """The graph :meth:`GraphBuilder.build` must return, built edge by
+    edge: every static edge in order, then the execution's typed edges
+    (ws chains first in observed mode), each load's rf/fr edges derived
+    here from the rules in the builder's module docstring."""
+    program = builder.program
+    graph = ConstraintGraph(program.num_ops)
+    for edge in builder.static_edges:
+        graph.add_edge(edge)
+    next_store, first_store = {}, {}
+    if ws is None:
+        for tp in program.threads:
+            last = {}
+            for op in tp.ops:
+                if op.is_store:
+                    if op.addr in last:
+                        next_store[last[op.addr]] = op.uid
+                    else:
+                        first_store.setdefault(op.addr, []).append(op.uid)
+                    last[op.addr] = op.uid
+    else:
+        for addr, chain in ws.items():
+            first_store[addr] = chain[:1]
+            for a, b in zip(chain, chain[1:]):
+                graph.add_edge(Edge(a, b, WS))
+                next_store[a] = b
+    for load_uid, source in rf.items():
+        load_op = program.op(load_uid)
+        if source == INIT:
+            for st in first_store.get(load_op.addr, ()):
+                graph.add_edge(Edge(load_uid, st, FR))
+            continue
+        if program.op(source).thread != load_op.thread:
+            graph.add_edge(Edge(source, load_uid, RF))
+        if source in next_store:
+            graph.add_edge(Edge(load_uid, next_store[source], FR))
+    return graph
+
+
+def assert_same_graph(graph, reference):
+    """Same pairs, the same kind per pair, the same adjacency order."""
+    assert graph.num_vertices == reference.num_vertices
+    assert graph.edge_pairs == reference.edge_pairs
+    for src, dst in reference.edge_pairs:
+        assert graph.edge_kind(src, dst) == reference.edge_kind(src, dst)
+    for v in range(reference.num_vertices):
+        assert graph.successors(v) == reference.successors(v), v
+
+
+def random_rf(codec, rng):
+    """One rf choice per load, drawn from its candidates, in a random
+    load order (build must follow the rf map's own order)."""
+    loads = sorted(codec.candidates)
+    rng.shuffle(loads)
+    return {uid: rng.choice(codec.candidates[uid]) for uid in loads}
+
+
+class TestBuildMatchesReference:
+    """``build`` copies a once-built static template and adds memoized
+    typed edges; the graphs must equal ones built edge by edge."""
+
+    @pytest.mark.parametrize("cfg", PAPER_CONFIGS, ids=lambda c: c.name)
+    def test_paper_configs_static(self, cfg):
+        campaign = Campaign(config=cfg, seed=1)
+        builder = GraphBuilder(campaign.program, campaign.model)
+        rng = random.Random(cfg.name)
+        for _ in range(3):
+            rf = random_rf(campaign.codec, rng)
+            assert_same_graph(builder.build(rf), reference_graph(builder, rf))
+
+    def test_detailed_simulator_observed(self):
+        cfg = TestConfig(isa="x86", threads=4, ops_per_thread=30,
+                         addresses=8, seed=5)
+        program = generate(cfg)
+        builder = GraphBuilder(program, TSO, ws_mode="observed")
+        executions = [e for e in DetailedExecutor(program, seed=3,
+                                                  layout=cfg.layout).run(24)
+                      if not e.crashed]
+        assert executions
+        for e in executions:
+            assert_same_graph(builder.build(e.rf, e.ws),
+                              reference_graph(builder, e.rf, e.ws))
+
+    @pytest.mark.parametrize("ws_mode", ["static", "observed"])
+    def test_built_graphs_share_nothing(self, small_program, ws_mode):
+        builder = GraphBuilder(small_program, WEAK, ws_mode=ws_mode)
+        execution = OperationalExecutor(small_program, WEAK, seed=9).run_one()
+        args = (execution.rf,) if ws_mode == "static" else (
+            execution.rf, execution.ws)
+        template = builder._template
+        template_pairs = template.edge_pairs
+        template_adjacency = {v: list(s) for v, s in template.adjacency.items()}
+        before = builder.build(*args)
+        graph = builder.build(*args)
+        # one new successor of a vertex with template edges, one new source
+        src = builder.static_edges[0].src
+        dst = next(v for v in range(small_program.num_ops)
+                   if v != src and (src, v) not in graph)
+        new_src = next(v for v in range(small_program.num_ops)
+                       if v not in graph.adjacency)
+        graph.add_edge(Edge(src, dst, RF))
+        graph.add_edge(Edge(new_src, src, FR))
+        assert (src, dst) in graph and (new_src, src) in graph
+        assert_same_graph(builder.build(*args), before)
+        assert template.edge_pairs == template_pairs
+        assert template.adjacency == template_adjacency

@@ -1,9 +1,11 @@
 """Unit + property tests for topological sorting and cycle extraction."""
 
+from array import array
+
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import find_cycle, topological_sort
+from repro.graph import complete_sort, find_cycle, topological_sort
 
 
 def is_topological(order, adjacency):
@@ -159,3 +161,48 @@ class TestAgainstNetworkx:
             assert cycle is not None
             for u, v in zip(cycle, cycle[1:]):
                 assert v in adj.get(u, ())
+
+
+@st.composite
+def random_dag(draw):
+    """A DAG: edges run forward in a random permutation of the vertices."""
+    n = draw(st.integers(1, 25))
+    rank = draw(st.permutations(range(n)))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        max_size=80))
+    adj = {}
+    for a, b in edges:
+        if a != b:
+            u, v = sorted((rank[a], rank[b]))
+            adj.setdefault(u, []).append(v)
+    return n, adj
+
+
+def scrambled(v):
+    """A tie-breaking key with many equal keys (ties then go by vertex)."""
+    return (v * 7) % 5
+
+
+class TestCompleteSort:
+    """``complete_sort`` is the one complete sort (baseline, collective,
+    packed): it must equal the generic Kahn tie for tie and hand its
+    in-degree scratch back all zero."""
+
+    @given(st.one_of(random_dag(), random_digraph()),
+           st.sampled_from([None, scrambled]), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_topological_sort(self, case, key, as_array):
+        n, adj = case
+        scratch = array("i", [0] * n) if as_array else [0] * n
+        order = complete_sort(adj, n, scratch, key)
+        assert order == topological_sort(range(n), adj, key=key)
+        assert list(scratch) == [0] * n
+
+    def test_scratch_serves_the_next_graph_after_a_cycle(self):
+        scratch = [0] * 5
+        for key in (None, scrambled):
+            assert complete_sort({0: [1], 1: [2], 2: [1], 3: [4]}, 5,
+                                 scratch, key) is None
+            assert scratch == [0] * 5
+        assert complete_sort({4: [3], 3: [0]}, 5, scratch) == [1, 2, 4, 3, 0]
