@@ -12,9 +12,12 @@ defaults below reproduce the *shapes* in minutes.  Set ``REPRO_BENCH_ITERS``
 and ``REPRO_BENCH_TESTS`` to larger values for tighter statistics.
 
 Observability: every benchmark test runs with a fresh enabled metrics
-registry; its snapshot is collected at teardown and the whole map (test
-name -> metrics) is written to ``benchmarks/results/BENCH_obs.json`` so
-the perf trajectory is diffable across PRs.  Wall-clock metrics
+registry; its snapshot is collected at teardown and merged into the map
+(test name -> metrics) in ``benchmarks/results/BENCH_obs.json`` so the
+perf trajectory is diffable across PRs.  Only the tests that ran in the
+session are replaced (dropped, if they recorded nothing), so re-running
+one bench file leaves the other files' snapshots alone; a deleted test's
+entry stays until it is removed from the file.  Wall-clock metrics
 (``*.elapsed_s`` histograms, span times) are excluded from the file —
 everything left is a deterministic function of the seeds.  Campaigns are
 cached across tests, so executor metrics land in the snapshot of
@@ -51,6 +54,8 @@ def record_table(name: str, text: str) -> None:
 
 
 _OBS_SNAPSHOTS: dict[str, dict] = {}
+#: names of the tests whose body ran this session
+_RAN: set[str] = set()
 
 
 def pytest_runtest_setup(item):
@@ -62,6 +67,11 @@ def pytest_runtest_teardown(item):
     if handle.enabled and len(handle.metrics):
         _OBS_SNAPSHOTS[item.name] = _diffable(handle.metrics.snapshot())
     obs.disable()
+
+
+def pytest_runtest_logreport(report):
+    if report.when == "call":
+        _RAN.add(report.nodeid.rsplit("::", 1)[-1])
 
 
 def _diffable(snapshot: dict) -> dict:
@@ -93,14 +103,29 @@ def pytest_terminal_summary(terminalreporter):
     for name, text in _TABLES:
         terminalreporter.write_sep("=", name)
         terminalreporter.write_line(text)
-    if _OBS_SNAPSHOTS:
+    if _RAN:
         _RESULTS_DIR.mkdir(exist_ok=True)
-        payload = {"schema": "repro.bench-obs", "version": 1,
-                   "suites": _OBS_SNAPSHOTS}
         path = _RESULTS_DIR / "BENCH_obs.json"
+        suites = _committed_suites(path)
+        for name in _RAN:
+            suites.pop(name, None)
+        suites.update(_OBS_SNAPSHOTS)
+        payload = {"schema": "repro.bench-obs", "version": 1,
+                   "suites": suites}
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        terminalreporter.write_line("observability snapshots written to %s"
+        terminalreporter.write_line("observability snapshots merged into %s"
                                     % path)
+
+
+def _committed_suites(path: pathlib.Path) -> dict:
+    """The snapshot map already in ``path`` (empty when absent)."""
+    try:
+        payload = json.loads(path.read_text())
+    except FileNotFoundError:
+        return {}
+    if payload.get("schema") != "repro.bench-obs":
+        raise ValueError("%s is not a repro.bench-obs file" % path)
+    return payload["suites"]
 
 
 _CAMPAIGN_CACHE: dict = {}

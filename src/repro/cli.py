@@ -201,6 +201,9 @@ def _cmd_run(args) -> int:
     if args.mutation and (args.detailed or args.bug):
         raise ValueError("--mutation picks its own executor; it cannot be "
                          "combined with --detailed/--bug")
+    if args.os and (args.detailed or args.bug):
+        raise ValueError("the detailed MESI simulator has no OS model; "
+                         "--os cannot be combined with --detailed/--bug")
     # enable before the Campaign is built so the generate/instrument
     # phases land in the span tree
     handle = repro_obs.enable() if _metrics_wanted(args) else None

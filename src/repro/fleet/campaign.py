@@ -16,6 +16,7 @@ exactly like in-simulation crashes.
 
 from __future__ import annotations
 
+from repro.errors import ExecutionError
 from repro.fleet.merge import merge_campaign_results
 from repro.fleet.progress import FleetProgress
 from repro.fleet.sharding import partition_blocks, plan_blocks
@@ -38,7 +39,19 @@ def plan_campaign_tasks(program, config, iterations: int, jobs: int, *,
                         collect_metrics: bool = False,
                         include_ws: bool = True,
                         mutation: str = None) -> list[WorkerTask]:
-    """Deal a campaign's seed blocks into per-worker shard tasks."""
+    """Deal a campaign's seed blocks into per-worker shard tasks.
+
+    Raises :class:`ExecutionError` host-side for ``os_model`` or
+    ``sync_barriers`` on the detailed simulator, which models neither;
+    a worker would otherwise fail every shard and report it as crashes.
+    """
+    if os_model or sync_barriers:
+        from repro.mutate.registry import get_mutation
+
+        if detailed or bug or (
+                mutation and get_mutation(mutation).executor == "detailed"):
+            raise ExecutionError("the detailed simulator has no OS model or "
+                                 "barrier rendezvous (os_model/sync_barriers)")
     doc = dump_program(program)
     isa = config.isa if config is not None else "arm"
     shards = partition_blocks(plan_blocks(iterations, block), jobs)

@@ -5,8 +5,9 @@ MESI protocol over a 4x2 mesh (the paper's Section 7 configuration):
 
 * one L1 controller per core (stable states I/S/E/M, transients IS/IM/SM,
   writeback-pending lines, capacity evictions),
-* directories at the mesh corners, interleaved by line address, each
-  serializing requests per line (busy + pending queue),
+* directories at the mesh corners, interleaved by line address (slice
+  ``line % 4``), each serializing requests per line (busy + pending
+  queue),
 * per-channel FIFO message delivery with distance-based latency.
 
 The protocol is exact enough to expose the three injected bugs of
@@ -17,8 +18,8 @@ callback), and the PUTX/GETX writeback race (bug 3).
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import count
 
 from repro.errors import ProtocolCrash
 from repro.sim.faults import FaultConfig, NO_FAULT
@@ -26,24 +27,31 @@ from repro.sim.faults import FaultConfig, NO_FAULT
 # L1 line states
 I, S, E, M = "I", "S", "E", "M"
 IS, IM, SM = "IS", "IM", "SM"   # transients: awaiting data / ownership
+_GRANT_STATE = {"S": S, "E": E, "M": M}
 
 
 class EventQueue:
-    """Global discrete-event queue with deterministic ordering."""
+    """Global discrete-event queue with deterministic ordering.
+
+    Entries are ``(time, seq, fn, args)`` heap tuples: equal times run in
+    scheduling order, because ``seq`` comes from the one counter every
+    producer draws from.  The mesh and the detailed core push onto
+    ``_heap`` with ``next(_seq)`` directly and the core pops inline;
+    :meth:`schedule` and :meth:`run_next` are the same steps as methods.
+    """
 
     def __init__(self):
         self._heap = []
-        self._seq = 0
+        self._seq = count(1)
         self.now = 0.0
 
     def schedule(self, delay: float, fn, *args) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args))
+        heappush(self._heap, (self.now + delay, next(self._seq), fn, args))
 
     def run_next(self) -> bool:
         if not self._heap:
             return False
-        self.now, _, fn, args = heapq.heappop(self._heap)
+        self.now, _, fn, args = heappop(self._heap)
         fn(*args)
         return True
 
@@ -51,20 +59,37 @@ class EventQueue:
         return len(self._heap)
 
 
+def _base_delays(num_cores: int, hop: float, base: float) -> dict:
+    """(src, dst) -> hop-count delay on a 4-wide mesh of ``num_cores``
+    cores with the four directory slices at its corners."""
+    coords = {("core", i): (i % 4, i // 4) for i in range(num_cores)}
+    for d, xy in enumerate(((0, 0), (3, 0), (0, 1), (3, 1))):
+        coords[("dir", d)] = xy
+    return {(src, dst): base + (abs(x0 - x1) + abs(y0 - y1)) * hop
+            for src, (x0, y0) in coords.items()
+            for dst, (x1, y1) in coords.items()}
+
+
+#: the default mesh (the paper's 8 cores and 4 directories), derived once
+_DEFAULT_SHAPE = (8, 2.0, 3.0)
+_DEFAULT_DELAYS = _base_delays(*_DEFAULT_SHAPE)
+
+
 class Mesh:
-    """4x2 mesh latency model with per-channel FIFO delivery."""
+    """4x2 mesh latency model with per-channel FIFO delivery.
+
+    Each (src, dst) channel is a ``[base_delay, last_delivery]`` pair,
+    set up when the mesh is built, so a message costs one table lookup.
+    """
 
     def __init__(self, events: EventQueue, rng, num_cores: int = 8,
                  hop_latency: float = 2.0, base_latency: float = 3.0):
         self.events = events
         self.rng = rng
-        self.hop = hop_latency
-        self.base = base_latency
-        self._coords = {("core", i): (i % 4, i // 4) for i in range(num_cores)}
-        # directories at the four mesh corners
-        for d, xy in enumerate(((0, 0), (3, 0), (0, 1), (3, 1))):
-            self._coords[("dir", d)] = xy
-        self._last_delivery: dict[tuple, float] = {}
+        shape = (num_cores, hop_latency, base_latency)
+        delays = (_DEFAULT_DELAYS if shape == _DEFAULT_SHAPE
+                  else _base_delays(*shape))
+        self._channels = {pair: [delay, 0.0] for pair, delay in delays.items()}
 
     def send(self, src: tuple, dst: tuple, fn, *args) -> None:
         """Deliver ``fn(*args)`` at ``dst`` after the network delay.
@@ -72,26 +97,36 @@ class Mesh:
         Delivery per (src, dst) channel is FIFO: a message never overtakes
         an earlier one on the same channel.
         """
-        (x0, y0), (x1, y1) = self._coords[src], self._coords[dst]
-        hops = abs(x0 - x1) + abs(y0 - y1)
-        delay = (self.base + hops * self.hop) * (1.0 + self.rng.random() * 0.35)
-        arrival = max(self.events.now + delay,
-                      self._last_delivery.get((src, dst), 0.0) + 1e-6)
-        self._last_delivery[(src, dst)] = arrival
-        self.events.schedule(arrival - self.events.now, fn, *args)
+        channel = self._channels[src, dst]
+        events = self.events
+        now = events.now
+        arrival = now + channel[0] * (1.0 + self.rng.random() * 0.35)
+        floor = channel[1] + 1e-6
+        if floor > arrival:
+            arrival = floor
+        channel[1] = arrival
+        heappush(events._heap,
+                 (now + (arrival - now), next(events._seq), fn, args))
 
 
-@dataclass
 class _Line:
-    state: str = I
-    data: dict = field(default_factory=dict)   # word addr -> value
-    #: loads waiting for data, stores waiting for ownership
-    waiting_loads: list = field(default_factory=list)
-    waiting_store: object = None
-    #: a GETX for this line is queued at the directory; guards against
-    #: duplicate ownership requests (whose stale grants could otherwise
-    #: clobber newer local writes)
-    getx_outstanding: bool = False
+    """One L1 line.
+
+    ``getx_outstanding``: a GETX for this line is queued at the
+    directory; guards against duplicate ownership requests (whose stale
+    grants could otherwise clobber newer local writes).
+    """
+
+    __slots__ = ("state", "data", "waiting_loads", "waiting_store",
+                 "getx_outstanding")
+
+    def __init__(self):
+        self.state = I
+        self.data = {}               # word addr -> value
+        #: loads waiting for data, stores waiting for ownership
+        self.waiting_loads = []
+        self.waiting_store = None
+        self.getx_outstanding = False
 
 
 class L1Cache:
@@ -119,12 +154,14 @@ class L1Cache:
     def load(self, line: int, addr: int, callback) -> None:
         """Read ``addr``; ``callback(value)`` fires when the value is known."""
         entry = self.lines.get(line)
-        if entry is not None and entry.state in (S, E, M):
-            callback(entry.data.get(addr, 0))
-            return
-        if entry is not None and entry.state in (IS, IM, SM):
-            entry.waiting_loads.append((addr, callback))
-            return
+        if entry is not None:
+            state = entry.state
+            if state in (S, E, M):
+                callback(entry.data.get(addr, 0))
+                return
+            if state in (IS, IM, SM):
+                entry.waiting_loads.append((addr, callback))
+                return
         entry = self._allocate(line)
         entry.state = IS
         entry.waiting_loads.append((addr, callback))
@@ -133,25 +170,28 @@ class L1Cache:
     def store(self, line: int, addr: int, value: int, callback) -> None:
         """Write ``addr``; ``callback()`` fires once globally performed."""
         entry = self.lines.get(line)
-        if entry is not None and entry.state in (E, M):
-            entry.state = M
-            entry.data[addr] = value
-            self.system.record_store(addr, value)
-            callback()
-            return
-        if entry is not None and entry.state == S:
-            entry.state = SM
-            entry.waiting_store = (addr, value, callback)
-            if not entry.getx_outstanding:
-                entry.getx_outstanding = True
-                self.system.request("GETX", line, self.core)
-            return
-        if entry is not None and entry.state in (IS, IM, SM):
-            # One outstanding store per line suffices for an in-order SB.
-            # In IS the upgrade is deferred until the GETS data arrives
-            # (handle_data issues the GETX), avoiding duplicate requests.
-            entry.waiting_store = (addr, value, callback)
-            return
+        if entry is not None:
+            state = entry.state
+            if state in (E, M):
+                entry.state = M
+                entry.data[addr] = value
+                self.system.record_store(addr, value)
+                callback()
+                return
+            if state == S:
+                entry.state = SM
+                entry.waiting_store = (addr, value, callback)
+                if not entry.getx_outstanding:
+                    entry.getx_outstanding = True
+                    self.system.request("GETX", line, self.core)
+                return
+            if state in (IS, IM, SM):
+                # One outstanding store per line suffices for an in-order
+                # SB.  In IS the upgrade is deferred until the GETS data
+                # arrives (handle_data issues the GETX), avoiding
+                # duplicate requests.
+                entry.waiting_store = (addr, value, callback)
+                return
         entry = self._allocate(line)
         entry.state = IM
         entry.waiting_store = (addr, value, callback)
@@ -181,7 +221,7 @@ class L1Cache:
         if grant == "M":
             entry.getx_outstanding = False
         entry.data.update(data)
-        entry.state = {"S": S, "E": E, "M": M}[grant]
+        entry.state = _GRANT_STATE[grant]
         for addr, callback in entry.waiting_loads:
             callback(entry.data.get(addr, 0))
         entry.waiting_loads.clear()
@@ -204,14 +244,13 @@ class L1Cache:
 
     def handle_inv(self, line: int) -> None:
         """Invalidation on behalf of another core's GETX."""
-        faults = self.system.faults
         entry = self.lines.get(line)
         if entry is None or entry.state == I:
             self.system.inv_ack(line, self.core)
             return
         if entry.state == SM:
             # lost an upgrade race: fall back to IM and await DATA_M
-            if faults.squash_on_inv_in_sm:
+            if self.system.squash_on_inv_in_sm:
                 self.on_inv(line)
             entry.state = IM
             entry.data.clear()
@@ -219,7 +258,7 @@ class L1Cache:
             # not yet a sharer for this epoch; ack and carry on
             pass
         else:
-            if faults.squash_on_inv:
+            if self.system.squash_on_inv:
                 self.on_inv(line)
             del self.lines[line]
         self.system.inv_ack(line, self.core)
@@ -228,7 +267,7 @@ class L1Cache:
         """Directory recall (FETCH / FETCH_INV) for an owned line."""
         entry = self.lines.get(line)
         if entry is None or entry.state not in (E, M):
-            if self.system.faults.crash_on_writeback_race:
+            if self.system.crash_on_writeback_race:
                 raise ProtocolCrash(
                     "invalid transition: FETCH for line %d in state %s at core %d"
                     % (line, entry.state if entry else I, self.core))
@@ -238,7 +277,7 @@ class L1Cache:
             return
         data = dict(entry.data)
         if invalidate:
-            if self.system.faults.squash_on_inv:
+            if self.system.squash_on_inv:
                 self.on_inv(line)
             del self.lines[line]
         else:
@@ -270,18 +309,23 @@ class L1Cache:
             self.system.putx(victim, self.core, dict(entry.data))
 
 
-@dataclass
 class _DirLine:
-    state: str = "U"              # U (at dir) / S (sharers) / E (owner)
-    sharers: set = field(default_factory=set)
-    owner: int = None
-    data: dict = field(default_factory=dict)
-    busy: bool = False
-    pending: list = field(default_factory=list)   # queued (kind, core)
-    # in-flight GETX bookkeeping
-    acks_needed: int = 0
-    requestor: int = None
-    request_kind: str = None
+    """One directory line."""
+
+    __slots__ = ("state", "sharers", "owner", "data", "busy", "pending",
+                 "acks_needed", "requestor", "request_kind")
+
+    def __init__(self):
+        self.state = "U"             # U (at dir) / S (sharers) / E (owner)
+        self.sharers = set()
+        self.owner = None
+        self.data = {}
+        self.busy = False
+        self.pending = []            # queued (kind, core)
+        # in-flight GETX bookkeeping
+        self.acks_needed = 0
+        self.requestor = None
+        self.request_kind = None
 
 
 class Directory:
@@ -293,7 +337,10 @@ class Directory:
         self.lines: dict[int, _DirLine] = {}
 
     def _line(self, line: int) -> _DirLine:
-        return self.lines.setdefault(line, _DirLine())
+        entry = self.lines.get(line)
+        if entry is None:
+            entry = self.lines[line] = _DirLine()
+        return entry
 
     # -- request entry point ------------------------------------------------------
 
@@ -429,10 +476,10 @@ class CoherentSystem:
 
     Args:
         num_cores: core count (paper Section 7 uses 8).
-        num_lines_hint: used only to spread lines across directory slices.
         rng: shared random source.
         events: shared event queue.
-        faults: bug-injection configuration.
+        faults: bug-injection configuration; its predicates are read
+            once, here.
     """
 
     def __init__(self, num_cores: int, rng, events: EventQueue,
@@ -440,16 +487,19 @@ class CoherentSystem:
         self.rng = rng
         self.events = events
         self.faults = faults
+        self.squash_on_inv = faults.squash_on_inv
+        self.squash_on_inv_in_sm = faults.squash_on_inv_in_sm
+        self.crash_on_writeback_race = faults.crash_on_writeback_race
         self.mesh = Mesh(events, rng, num_cores)
         self.caches = [L1Cache(core, self, faults.l1_lines)
                        for core in range(num_cores)]
         self.dirs = [Directory(d, self) for d in range(4)]
+        #: mesh node names, indexed by core / directory slice
+        self._core_nodes = tuple(("core", core) for core in range(num_cores))
+        self._dir_nodes = tuple(("dir", d) for d in range(4))
         #: per-address coherence order of store values, appended as each
         #: store's word write is globally performed
         self.store_order: dict[int, list[int]] = {}
-
-    def dir_of(self, line: int) -> int:
-        return line % 4
 
     def record_store(self, addr: int, value: int) -> None:
         self.store_order.setdefault(addr, []).append(value)
@@ -457,40 +507,42 @@ class CoherentSystem:
     # -- message helpers (all network hops go through the mesh) --------------------
 
     def request(self, kind: str, line: int, core: int) -> None:
-        d = self.dir_of(line)
-        self.mesh.send(("core", core), ("dir", d),
+        d = line % 4
+        self.mesh.send(self._core_nodes[core], self._dir_nodes[d],
                        self.dirs[d].request, kind, line, core)
 
     def send_data(self, d: int, line: int, core: int, grant: str, data: dict) -> None:
-        self.mesh.send(("dir", d), ("core", core),
+        self.mesh.send(self._dir_nodes[d], self._core_nodes[core],
                        self.caches[core].handle_data, line, grant, dict(data))
 
     def send_inv(self, d: int, line: int, core: int) -> None:
-        self.mesh.send(("dir", d), ("core", core),
+        self.mesh.send(self._dir_nodes[d], self._core_nodes[core],
                        self.caches[core].handle_inv, line)
 
     def send_fetch(self, d: int, line: int, core: int, invalidate: bool) -> None:
-        self.mesh.send(("dir", d), ("core", core),
+        self.mesh.send(self._dir_nodes[d], self._core_nodes[core],
                        self.caches[core].handle_fetch, line, invalidate)
 
     def inv_ack(self, line: int, core: int) -> None:
-        d = self.dir_of(line)
-        self.mesh.send(("core", core), ("dir", d), self.dirs[d].inv_ack, line, core)
+        d = line % 4
+        self.mesh.send(self._core_nodes[core], self._dir_nodes[d],
+                       self.dirs[d].inv_ack, line, core)
 
     def writeback_data(self, line: int, core: int, data: dict) -> None:
-        d = self.dir_of(line)
-        self.mesh.send(("core", core), ("dir", d),
+        d = line % 4
+        self.mesh.send(self._core_nodes[core], self._dir_nodes[d],
                        self.dirs[d].writeback_data, line, core, data)
 
     def fetch_stale(self, line: int, core: int) -> None:
-        d = self.dir_of(line)
-        self.mesh.send(("core", core), ("dir", d),
+        d = line % 4
+        self.mesh.send(self._core_nodes[core], self._dir_nodes[d],
                        self.dirs[d].fetch_stale, line, core)
 
     def putx(self, line: int, core: int, data: dict) -> None:
-        d = self.dir_of(line)
-        self.mesh.send(("core", core), ("dir", d), self.dirs[d].putx, line, core, data)
+        d = line % 4
+        self.mesh.send(self._core_nodes[core], self._dir_nodes[d],
+                       self.dirs[d].putx, line, core, data)
 
     def wb_ack(self, line: int, core: int) -> None:
-        self.mesh.send(("dir", self.dir_of(line)), ("core", core),
+        self.mesh.send(self._dir_nodes[line % 4], self._core_nodes[core],
                        self.caches[core].wb_pending.discard, line)

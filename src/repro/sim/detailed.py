@@ -18,15 +18,39 @@ Models the paper's Section 7 configuration: eight x86 (TSO) cores on a
 
 The executor exposes the same interface as
 :class:`repro.sim.executor.OperationalExecutor`, so
-:class:`repro.harness.Campaign` can drive it unchanged.
+:class:`repro.harness.Campaign` can drive it unchanged.  It models
+neither OS perturbation nor barrier rendezvous, and rejects both.
+
+One iteration is one inline event loop over a fresh
+:class:`~repro.sim.coherence.CoherentSystem`: pop the earliest
+``(time, seq, fn, args)`` entry, set ``events.now``, call, count.  The
+core reads flat per-thread op tuples built once per executor, and its
+events go straight onto the queue's heap.  Executions stay those of the
+plain ``EventQueue.schedule`` formulation because:
+
+* the RNG is drawn in the same order: one draw per scheduled core event
+  and per mesh message, at the moment it is scheduled (an LSQ-full
+  dispatch retry is an event with its own draw);
+* ties break on ``(time, seq)``, with every producer taking ``seq``
+  from the queue's one counter;
+* event times keep their float expressions: ``now + delay`` for core
+  events and ``now + (arrival - now)`` for mesh deliveries;
+* every message and store commit goes through ``Mesh.send`` and
+  ``CoherentSystem.record_store``, looked up on the instance, so a
+  :class:`~repro.sim.tracing.ProtocolTracer` sees all of them.
+
+``tests/test_sim_detailed_digests.py`` pins every execution field, the
+squash and event counts, and one traced message history.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
+from heapq import heappop, heappush
 
 from repro.errors import ExecutionError, ProtocolCrash
-from repro.isa.instructions import INIT, INIT_VALUE
+from repro.isa.instructions import INIT, INIT_VALUE, OpKind
 from repro.isa.layout import MemoryLayout
 from repro.isa.program import TestProgram
 from repro.mcm.model import MemoryModel
@@ -41,6 +65,9 @@ from repro.sim.faults import FaultConfig, NO_FAULT
 from repro.sim.platform import GEM5_X86_8CORE, Platform
 
 _WAIT, _ISSUED, _DONE = 0, 1, 2
+_LOAD = OpKind.LOAD
+_STORE = OpKind.STORE
+_BARRIER = OpKind.BARRIER
 
 
 def _stuck_state(cores, system) -> str:
@@ -64,27 +91,33 @@ def _stuck_state(cores, system) -> str:
 
 
 class _LsqEntry:
-    __slots__ = ("op", "status", "value", "forwarded", "line")
+    """One LSQ slot, unpacked from a flat op ``(kind, addr, value, uid,
+    line, op)``.  ``value`` is a store's value from dispatch on, and a
+    load's value once it completes; ``line`` is None for barriers."""
 
-    def __init__(self, op):
-        self.op = op
+    __slots__ = ("kind", "addr", "value", "uid", "line", "op", "status",
+                 "forwarded")
+
+    def __init__(self, flat):
+        (self.kind, self.addr, self.value, self.uid, self.line,
+         self.op) = flat
         self.status = _WAIT
-        self.value = None
         self.forwarded = False
-        self.line = None
 
 
 class _Core:
-    __slots__ = ("tid", "ops", "next_dispatch", "lsq", "sb", "draining", "finished")
+    __slots__ = ("tid", "ops", "next_dispatch", "lsq", "sb", "draining",
+                 "finished", "args")
 
     def __init__(self, tid, ops):
         self.tid = tid
-        self.ops = ops
+        self.ops = ops          # flat op tuples, in program order
         self.next_dispatch = 0
         self.lsq = []
         self.sb = []            # (line, addr, value) in program order
         self.draining = False
         self.finished = False
+        self.args = (self,)     # the event arguments of dispatch/drain_sb
 
 
 class DetailedExecutor:
@@ -98,7 +131,10 @@ class DetailedExecutor:
             line contention the injected bugs need, per paper Table 3).
 
     Other parameters mirror :class:`OperationalExecutor` for harness
-    compatibility; the memory model is always TSO (x86).
+    compatibility; the memory model is always TSO (x86).  The simulator
+    models neither OS perturbation nor barrier rendezvous, so an
+    ``os_model`` or ``sync_barriers=True`` raises :class:`ExecutionError`
+    rather than being dropped.
     """
 
     def __init__(self, program: TestProgram, model: MemoryModel = None,
@@ -113,6 +149,11 @@ class DetailedExecutor:
                                  % (program.num_threads, platform.num_cores))
         if model is not None and model.name != "tso":
             raise ExecutionError("the detailed simulator models x86-TSO only")
+        if os_model is not None:
+            raise ExecutionError("the detailed simulator has no OS model")
+        if sync_barriers:
+            raise ExecutionError("the detailed simulator has no barrier "
+                                 "rendezvous (sync_barriers)")
         self.program = program
         self.platform = platform
         self.faults = faults
@@ -122,6 +163,18 @@ class DetailedExecutor:
         self.rng = random.Random(seed)
         self.layout = layout or MemoryLayout(program.num_addresses, 1)
         self._value_to_uid = {op.value: op.uid for op in program.stores}
+        #: loaded value -> rf source (INIT for the initial value)
+        self._sources = dict(self._value_to_uid)
+        self._sources[INIT_VALUE] = INIT
+        line_of = self.layout.line_of
+        #: (tid, flat ops) per thread; a flat op is (kind, addr, value,
+        #: uid, line, op), with line None for barriers
+        self._threads = [
+            (tp.thread, tuple(
+                (op.kind, op.addr, op.value, op.uid,
+                 None if op.addr is None else line_of(op.addr), op)
+                for op in tp.ops))
+            for tp in program.threads]
         self._squashed_loads = 0
         self._events_processed = 0
 
@@ -159,51 +212,63 @@ class DetailedExecutor:
         events = EventQueue()
         system = CoherentSystem(self.platform.num_cores, self.rng, events,
                                 self.faults)
-        rng = self.rng
-        program = self.program
-        line_of = self.layout.line_of
-        cores = [_Core(tp.thread, tp.ops) for tp in program.threads]
+        draw = self.rng.random
+        heap = events._heap
+        seq = events._seq
+        caches = system.caches
+        lsq_size = self.lsq_size
+        sources = self._sources
+        cores = [_Core(tid, ops) for tid, ops in self._threads]
         rf: dict[int, object] = {}
         counters = ExecutionCounters()
-        max_events = 2000 * max(1, program.num_ops) + 10000
+        max_events = 2000 * max(1, self.program.num_ops) + 10000
         processed = 0
 
-        # wire invalidation squash from each L1 into its core's LSQ
-        for core in cores:
-            system.caches[core.tid].on_inv = self._squasher(core, events, rng)
+        # Every event time below is ``events.now + delay`` with the delay
+        # expression EventQueue.schedule was given, and every push takes
+        # the queue's next sequence number: the RNG draws, float sums and
+        # (time, seq) tie-breaks are the scheduler's own.
 
         def dispatch(core: _Core) -> None:
-            if core.next_dispatch >= len(core.ops):
+            index = core.next_dispatch
+            ops = core.ops
+            if index >= len(ops):
                 return
-            if len(core.lsq) >= self.lsq_size:
-                events.schedule(1.0 + rng.random(), dispatch, core)
+            lsq = core.lsq
+            if len(lsq) >= lsq_size:
+                heappush(heap, (events.now + (1.0 + draw()), next(seq),
+                                dispatch, core.args))
                 return
-            op = core.ops[core.next_dispatch]
-            core.next_dispatch += 1
-            entry = _LsqEntry(op)
-            core.lsq.append(entry)
-            if op.is_load:
-                entry.line = line_of(op.addr)
-                events.schedule(0.5 + rng.random() * 6.0, issue_load, core, entry)
+            core.next_dispatch = index + 1
+            entry = _LsqEntry(ops[index])
+            lsq.append(entry)
+            if entry.kind is _LOAD:
+                heappush(heap, (events.now + (0.5 + draw() * 6.0),
+                                next(seq), issue_load, (core, entry)))
             else:
                 entry.status = _DONE   # stores/barriers are ready at dispatch
                 try_commit(core)
-            events.schedule(1.0 + rng.random() * 0.2, dispatch, core)
+            heappush(heap, (events.now + (1.0 + draw() * 0.2), next(seq),
+                            dispatch, core.args))
 
         def issue_load(core: _Core, entry: _LsqEntry) -> None:
-            if entry.status != _WAIT or entry not in core.lsq:
+            # a waiting entry is always in the LSQ: entries leave it only
+            # by committing, which needs _DONE, and a squash re-arms only
+            # entries still in it
+            if entry.status != _WAIT:
                 return
-            op = entry.op
+            addr = entry.addr
+            lsq = core.lsq
             # LSQ + store-buffer forwarding: youngest older same-address store
-            for other in reversed(core.lsq[:core.lsq.index(entry)]):
-                if other.op.is_store and other.op.addr == op.addr:
-                    entry.value = other.op.value
+            for other in reversed(lsq[:lsq.index(entry)]):
+                if other.addr == addr and other.kind is _STORE:
+                    entry.value = other.value
                     entry.status = _DONE
                     entry.forwarded = True
                     try_commit(core)
                     return
-            for line, addr, value in reversed(core.sb):
-                if addr == op.addr:
+            for line, sb_addr, value in reversed(core.sb):
+                if sb_addr == addr:
                     entry.value = value
                     entry.status = _DONE
                     entry.forwarded = True
@@ -211,9 +276,8 @@ class DetailedExecutor:
                     return
             entry.status = _ISSUED
             counters.test_accesses += 1
-            system.caches[core.tid].load(
-                entry.line, op.addr,
-                lambda value, c=core, e=entry: complete_load(c, e, value))
+            caches[core.tid].load(entry.line, addr,
+                                  partial(complete_load, core, entry))
 
         def complete_load(core: _Core, entry: _LsqEntry, value: int) -> None:
             if entry.status != _ISSUED:
@@ -223,29 +287,34 @@ class DetailedExecutor:
             try_commit(core)
 
         def try_commit(core: _Core) -> None:
-            while core.lsq:
-                entry = core.lsq[0]
-                op = entry.op
-                if op.is_barrier:
+            lsq = core.lsq
+            while lsq:
+                entry = lsq[0]
+                kind = entry.kind
+                if kind is _BARRIER:
                     if core.sb:
                         return          # mfence: wait for the SB to drain
-                    core.lsq.pop(0)
+                    lsq.pop(0)
                     continue
-                if op.is_store:
-                    core.lsq.pop(0)
-                    core.sb.append((line_of(op.addr), op.addr, op.value))
+                if kind is _STORE:
+                    lsq.pop(0)
+                    core.sb.append((entry.line, entry.addr, entry.value))
                     if not core.draining:
                         core.draining = True
                         # stores linger in the buffer: this window is what
                         # lets TSO loads overtake them (store buffering)
-                        events.schedule(4.0 + rng.random() * 10.0, drain_sb, core)
+                        heappush(heap, (events.now + (4.0 + draw() * 10.0),
+                                        next(seq), drain_sb, core.args))
                     continue
                 if entry.status != _DONE:
                     return
-                rf[op.uid] = self._source_of(entry.value)
-                core.lsq.pop(0)
-            if (core.next_dispatch >= len(core.ops) and not core.lsq
-                    and not core.sb):
+                try:
+                    rf[entry.uid] = sources[entry.value]
+                except KeyError:
+                    raise ExecutionError("load observed unknown value %d"
+                                         % entry.value) from None
+                lsq.pop(0)
+            if core.next_dispatch >= len(core.ops) and not core.sb:
                 core.finished = True
 
         def drain_sb(core: _Core) -> None:
@@ -255,19 +324,27 @@ class DetailedExecutor:
                 return
             line, addr, value = core.sb[0]
             counters.test_accesses += 1
-            system.caches[core.tid].store(
-                line, addr, value, lambda c=core: store_done(c))
+            caches[core.tid].store(line, addr, value,
+                                   partial(store_done, core))
 
         def store_done(core: _Core) -> None:
             core.sb.pop(0)
-            events.schedule(1.0 + rng.random() * 3.0, drain_sb, core)
+            heappush(heap, (events.now + (1.0 + draw() * 3.0), next(seq),
+                            drain_sb, core.args))
 
-        self._issue_load_fn = issue_load   # used by the squasher closure
+        # wire invalidation squash from each L1 into its core's LSQ
         for core in cores:
-            events.schedule(rng.random() * 2.0, dispatch, core)
+            caches[core.tid].on_inv = self._squasher(core, issue_load, events)
+        for core in cores:
+            heappush(heap, (events.now + draw() * 2.0, next(seq),
+                            dispatch, core.args))
 
+        # the event loop: EventQueue.run_next inline; an event that raises
+        # (a bug-3 crash) is not counted
         try:
-            while events.run_next():
+            while heap:
+                events.now, _, fn, args = heappop(heap)
+                fn(*args)
                 processed += 1
                 if processed > max_events:
                     raise ProtocolCrash("protocol livelock: event budget exhausted; %s"
@@ -278,16 +355,17 @@ class DetailedExecutor:
             raise ProtocolCrash("protocol deadlock: %s"
                                 % _stuck_state(cores, system))
 
-        ws = {addr: [self._value_to_uid[v] for v in chain]
+        value_to_uid = self._value_to_uid
+        ws = {addr: [value_to_uid[v] for v in chain]
               for addr, chain in system.store_order.items()}
-        for addr in range(program.num_addresses):
+        for addr in range(self.program.num_addresses):
             ws.setdefault(addr, [])
         counters.base_cycles = events.now
         return Execution(rf, ws, counters)
 
     # -- helpers ----------------------------------------------------------------------
 
-    def _squasher(self, core: _Core, events: EventQueue, rng):
+    def _squasher(self, core: _Core, issue_load, events: EventQueue):
         """The x86 LSQ invalidation rule for one core.
 
         Re-executes every speculatively-completed, uncommitted load whose
@@ -295,21 +373,18 @@ class DetailedExecutor:
         cannot be stale).  The fault configuration decides whether this
         callback is invoked at all (bugs 1 and 2 suppress it).
         """
+        lsq = core.lsq
+        heap = events._heap
+        seq = events._seq
+        draw = self.rng.random
+
         def squash(line: int) -> None:
-            for entry in core.lsq:
-                if (entry.op.is_load and entry.status == _DONE
-                        and not entry.forwarded and entry.line == line):
+            for entry in lsq:
+                if (entry.line == line and entry.kind is _LOAD
+                        and entry.status == _DONE and not entry.forwarded):
                     entry.status = _WAIT
                     entry.value = None
                     self._squashed_loads += 1
-                    events.schedule(0.5 + rng.random(),
-                                    self._issue_load_fn, core, entry)
+                    heappush(heap, (events.now + (0.5 + draw()), next(seq),
+                                    issue_load, (core, entry)))
         return squash
-
-    def _source_of(self, value: int):
-        if value == INIT_VALUE:
-            return INIT
-        try:
-            return self._value_to_uid[value]
-        except KeyError:
-            raise ExecutionError("load observed unknown value %d" % value) from None

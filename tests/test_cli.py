@@ -320,6 +320,14 @@ class TestMutateCLI:
                      "--bug", "2", "--iterations", "4"]) == 2
         assert "cannot be combined" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--detailed"], ["--bug", "2"]])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_run_os_conflicts_with_detailed(self, capsys, flag, jobs):
+        assert main(["run", "--isa", "x86", "--threads", "2", "--ops", "10",
+                     "--addresses", "4", "--iterations", "20", "--os",
+                     "--jobs", jobs] + flag) == 2
+        assert "--os cannot be combined" in capsys.readouterr().err
+
     def test_run_bug_on_non_x86_exits_cleanly(self, capsys):
         assert main(["run", "--isa", "arm", "--bug", "3",
                      "--iterations", "4"]) == 2

@@ -107,6 +107,18 @@ class TestCrashTolerance:
         assert merged.signature_counts == serial.signature_counts
 
 
+    @pytest.mark.parametrize("knobs", [
+        {"detailed": True, "os_model": True},
+        {"mutation": "gem5-protocol-squash", "os_model": True},
+        {"bug": 2, "sync_barriers": True}])
+    def test_detailed_os_or_sync_rejected_before_dispatch(self, knobs):
+        # a worker cannot build that executor; without the host-side
+        # check every shard failed and was reported as crashes
+        with pytest.raises(ReproError, match="detailed simulator"):
+            run_campaign_fleet(config=self.X86, iterations=20, jobs=2,
+                               **knobs)
+
+
 class TestFleetObservability:
     def test_phase_spans_and_fleet_metrics(self):
         with obs.enabled_obs() as handle:

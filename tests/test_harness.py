@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ExecutionError
 from repro.harness import (
     Campaign,
     SortCostModel,
@@ -86,6 +87,18 @@ class TestCampaign:
         campaign = Campaign(config=cfg, seed=2, os_model=True)
         result = campaign.run(30)
         assert result.iterations == 30
+
+    @pytest.mark.parametrize("knob", [{"os_model": True},
+                                      {"sync_barriers": True}])
+    def test_detailed_executor_rejects_os_and_sync_knobs(self, knob):
+        # the MESI simulator models neither; dropping them silently ran a
+        # plain detailed campaign
+        cfg = TestConfig(isa="x86", threads=2, ops_per_thread=10,
+                         addresses=4, seed=9)
+        with pytest.raises(ExecutionError, match="detailed simulator"):
+            Campaign(config=cfg, mutation="gem5-protocol-squash", **knob)
+        with pytest.raises(ExecutionError, match="detailed simulator"):
+            Campaign(config=cfg, executor_cls=DetailedExecutor, **knob)
 
 
 class TestSortCostModel:
