@@ -14,6 +14,8 @@ Rows:
 * a barrier and false-sharing grid — arm/x86, 2 and 4 threads, 8
   addresses on 1 word per line and 16 on 4, ``barrier_fraction`` 0.1
   and 0.3 — under the three models and the three instrumentation modes;
+* thread counts beyond the paper's seven — arm/x86, 12 and 70 threads,
+  30 ops on 16 addresses, 4 words per line — under the three models;
 * ``sync_barriers`` on a regularized program, an :class:`OSModel` and
   ``uniform_random``, under the three models;
 * the registered operational mutations on their pinned campaign specs.
@@ -85,6 +87,14 @@ def _grid_name(cfg) -> str:
     return "%s-w%d-b%g" % (cfg.name, cfg.words_per_line, cfg.barrier_fraction)
 
 
+def _wide_configs():
+    for isa in ("arm", "x86"):
+        for threads in (12, 70):
+            yield TestConfig(isa=isa, threads=threads, ops_per_thread=30,
+                             addresses=16, words_per_line=4,
+                             seed={"arm": 5, "x86": 6}[isa])
+
+
 #: the set-up used by the sync, OS and uniform rows
 _SPECIAL = TestConfig(isa="x86", threads=4, ops_per_thread=40,
                       addresses=8, words_per_line=4, seed=9)
@@ -125,6 +135,10 @@ def cases() -> dict:
                 table["grid/%s/%s/%s" % (_grid_name(cfg), model, mode)] = (
                     lambda cfg=cfg, model=model, mode=mode:
                     _executor(cfg, model, mode))
+    for cfg in _wide_configs():
+        for model in MODELS:
+            table["wide/%s/%s" % (cfg.name, model)] = (
+                lambda cfg=cfg, model=model: _executor(cfg, model))
     for kind, factory in (("sync", _sync), ("os", _os), ("uniform", _uniform)):
         for model in MODELS:
             table["%s/%s" % (kind, model)] = (
@@ -367,6 +381,18 @@ PINS = {
     'uniform/sc': '857c4fde78d7fb80',
     'uniform/tso': '2dfbe8eed1480f98',
     'uniform/weak': 'caee4ed7f69f4975',
+    'wide/ARM-12-30-16/sc': 'efeb5a7f27aeb47b',
+    'wide/ARM-12-30-16/tso': 'cb48881c5fa13ea0',
+    'wide/ARM-12-30-16/weak': 'b70e76db77cdccec',
+    'wide/ARM-70-30-16/sc': 'a364b47a81b59340',
+    'wide/ARM-70-30-16/tso': 'fbeaf226708e447d',
+    'wide/ARM-70-30-16/weak': '36b56d8bbf5d28ca',
+    'wide/x86-12-30-16/sc': 'bcff1520429a34c3',
+    'wide/x86-12-30-16/tso': 'b1d67f48ea63834e',
+    'wide/x86-12-30-16/weak': '53ef4d03aa9aaee2',
+    'wide/x86-70-30-16/sc': '2c46bad80200aa84',
+    'wide/x86-70-30-16/tso': '998124be1d191ed6',
+    'wide/x86-70-30-16/weak': '90594235f10e0242',
 }
 
 
