@@ -16,12 +16,13 @@ exactly like in-simulation crashes.
 
 from __future__ import annotations
 
-from repro.errors import ExecutionError
+import dataclasses
+
 from repro.fleet.merge import merge_campaign_results
 from repro.fleet.progress import FleetProgress
 from repro.fleet.sharding import partition_blocks, plan_blocks
 from repro.fleet.supervisor import FleetConfig, FleetSupervisor
-from repro.fleet.worker import WorkerTask
+from repro.fleet.worker import WorkerTask, task_campaign
 from repro.harness.runner import CampaignResult
 from repro.instrument.signature import SignatureCodec
 from repro.io import dump_program, load_campaign
@@ -41,30 +42,23 @@ def plan_campaign_tasks(program, config, iterations: int, jobs: int, *,
                         mutation: str = None) -> list[WorkerTask]:
     """Deal a campaign's seed blocks into per-worker shard tasks.
 
-    Raises :class:`ExecutionError` host-side for ``os_model`` or
-    ``sync_barriers`` on the detailed simulator, which models neither;
-    a worker would otherwise fail every shard and report it as crashes.
+    A shard's campaign is built once here, host-side, by the workers'
+    own wiring (:func:`~repro.fleet.worker.task_campaign`) with no
+    blocks.  A set-up :class:`~repro.errors.ReproError` (say, a detailed
+    mutation on an ARM config, or ``os_model`` on the detailed
+    simulator) therefore raises before dispatch; a worker would
+    otherwise fail every shard and report it as crashes.
     """
-    if os_model or sync_barriers:
-        from repro.mutate.registry import get_mutation
-
-        if detailed or bug or (
-                mutation and get_mutation(mutation).executor == "detailed"):
-            raise ExecutionError("the detailed simulator has no OS model or "
-                                 "barrier rendezvous (os_model/sync_barriers)")
-    doc = dump_program(program)
-    isa = config.isa if config is not None else "arm"
+    shard_task = WorkerTask(
+        program_doc=dump_program(program), blocks=(), seed=seed,
+        config=config, isa=config.isa if config is not None else "arm",
+        instrumentation=instrumentation, os_model=os_model,
+        sync_barriers=sync_barriers, detailed=detailed, bug=bug,
+        l1_lines=l1_lines, mutation=mutation, die_on_crash=die_on_crash,
+        collect_metrics=collect_metrics, include_ws=include_ws)
+    task_campaign(shard_task)
     shards = partition_blocks(plan_blocks(iterations, block), jobs)
-    return [
-        WorkerTask(program_doc=doc, blocks=shard, seed=seed, config=config,
-                   isa=isa, instrumentation=instrumentation,
-                   os_model=os_model, sync_barriers=sync_barriers,
-                   detailed=detailed, bug=bug, l1_lines=l1_lines,
-                   mutation=mutation,
-                   die_on_crash=die_on_crash, collect_metrics=collect_metrics,
-                   include_ws=include_ws)
-        for shard in shards
-    ]
+    return [dataclasses.replace(shard_task, blocks=shard) for shard in shards]
 
 
 def run_campaign_fleet(config=None, program=None, *, iterations: int,

@@ -73,13 +73,14 @@ class WorkerTask:
         return sum(count for _, count in self.blocks)
 
 
-def execute_task(task: WorkerTask, progress=None):
-    """Run a task's shard in-process; returns the :class:`CampaignResult`.
+def task_campaign(task: WorkerTask):
+    """Build the :class:`~repro.harness.Campaign` that runs a task's shard.
 
-    Used by the worker entry point and directly by ``jobs=1`` fallbacks
-    and tests — the fleet's execution semantics without any process.
-    ``progress`` (``callable(iterations_done, partial_result)``) is
-    invoked after every completed seed block.
+    Raises the campaign's set-up :class:`~repro.errors.ReproError` (a
+    detailed mutation on an ARM config, an OS model on the detailed
+    simulator, ...).  The host builds one before dispatch
+    (:func:`repro.fleet.campaign.plan_campaign_tasks`), so such an error
+    stops the campaign instead of failing every shard as a crash.
     """
     # imported here so this module stays importable mid-way through a
     # ``repro.harness`` import (harness.runner itself imports the
@@ -110,12 +111,22 @@ def execute_task(task: WorkerTask, progress=None):
     else:
         extra["platform"] = platform_for_isa(
             task.config.isa if task.config else task.isa)
-    campaign = Campaign(program=program, config=task.config,
-                        instrumentation=task.instrumentation,
-                        os_model=True if task.os_model else None,
-                        seed=task.seed, sync_barriers=task.sync_barriers,
-                        **extra)
-    return campaign.run_blocks(task.blocks, progress=progress)
+    return Campaign(program=program, config=task.config,
+                    instrumentation=task.instrumentation,
+                    os_model=True if task.os_model else None,
+                    seed=task.seed, sync_barriers=task.sync_barriers,
+                    **extra)
+
+
+def execute_task(task: WorkerTask, progress=None):
+    """Run a task's shard in-process; returns the :class:`CampaignResult`.
+
+    Used by the worker entry point and directly by ``jobs=1`` fallbacks
+    and tests — the fleet's execution semantics without any process.
+    ``progress`` (``callable(iterations_done, partial_result)``) is
+    invoked after every completed seed block.
+    """
+    return task_campaign(task).run_blocks(task.blocks, progress=progress)
 
 
 def task_meta(task: WorkerTask) -> dict:

@@ -315,6 +315,16 @@ class TestMutateCLI:
                      "--iterations", "4"]) == 2
         assert "x86 only" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_run_detailed_mutation_on_arm_exits_two_at_any_jobs(self, capsys,
+                                                                jobs):
+        assert main(["run", "--threads", "2", "--ops", "10", "--addresses",
+                     "4", "--iterations", "20", "--mutation",
+                     "gem5-protocol-squash", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert "x86 only" in captured.err
+        assert "crashes" not in captured.out
+
     def test_run_mutation_conflicts_with_bug_flag(self, capsys):
         assert main(["run", "--isa", "x86", "--mutation", "tso-stale-read",
                      "--bug", "2", "--iterations", "4"]) == 2
