@@ -23,8 +23,12 @@ from repro.instrument.signature import Signature, SignatureCodec
 from repro.isa.assembler import assemble, disassemble
 from repro.isa.program import TestProgram
 from repro.sim.execution import Execution
+from repro.sim.platform import REGISTER_WIDTHS
 
 _FORMAT_VERSION = 1
+#: header counts of a campaign dump; an absent one reads as 0
+_HEADER_COUNTS = ("iterations", "crashes", "skipped_iterations",
+                  "signature_asserts")
 
 
 class FormatError(ReproError):
@@ -188,16 +192,34 @@ def load_campaign(text: str) -> CampaignResult:
     decoding each signature — Algorithm 1 on the host, as in the paper.
     Entries decode through :func:`signature_from_entry`; a signature
     listed twice is a :class:`FormatError`, not a silent overwrite.
+    The header is checked first: ``program`` must be an object and
+    ``signatures`` a list, the register width one a
+    :mod:`repro.sim.platform` preset uses, and each header count an
+    ``int`` >= 0 (``bool`` is not a count).
     """
     doc = parse_json_payload(text, what="campaign dump")
     if doc.get("format") != _FORMAT_VERSION:
         raise FormatError("unsupported dump format %r" % doc.get("format"))
+    for field, kind in (("program", dict), ("signatures", list)):
+        if not isinstance(doc.get(field), kind):
+            raise FormatError("campaign dump needs a %r %s, got %r"
+                              % (field, "object" if kind is dict else "list",
+                                 doc.get(field)))
+    width = doc.get("register_width")
+    if type(width) is not int or width not in REGISTER_WIDTHS:
+        raise FormatError("campaign dump register_width must be one of %s, "
+                          "got %r" % (sorted(REGISTER_WIDTHS), width))
+    header = {field: doc.get(field, 0) for field in _HEADER_COUNTS}
+    for field, value in header.items():
+        if type(value) is not int or value < 0:
+            raise FormatError("campaign dump %s must be an integer >= 0, "
+                              "got %r" % (field, value))
     program = load_program(doc["program"])
-    codec = SignatureCodec(program, doc["register_width"])
-    result = CampaignResult(program, codec, iterations=doc.get("iterations", 0))
-    result.crashes = doc.get("crashes", 0)
-    result.skipped_iterations = doc.get("skipped_iterations", 0)
-    result.signature_asserts = doc.get("signature_asserts", 0)
+    codec = SignatureCodec(program, width)
+    result = CampaignResult(program, codec, iterations=header["iterations"])
+    result.crashes = header["crashes"]
+    result.skipped_iterations = header["skipped_iterations"]
+    result.signature_asserts = header["signature_asserts"]
     counts = Counter()
     for entry in doc["signatures"]:
         signature, count = signature_from_entry(entry)

@@ -72,6 +72,10 @@ GEM5_X86_8CORE = Platform(
     register_width=64,
 )
 
+#: signature register widths the presets above use
+REGISTER_WIDTHS = frozenset(p.register_width for p in (
+    X86_DESKTOP, ARM_BIG_LITTLE, GEM5_X86_8CORE))
+
 
 def platform_for_isa(isa: str) -> Platform:
     """The Table 1 platform matching a test configuration's ISA."""

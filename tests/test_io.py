@@ -90,6 +90,32 @@ class TestFormatValidation:
             repro_io.load_campaign(json.dumps(doc))
 
 
+_BAD_COUNTS = (None, -1, 2.9, "3", [], True)
+_MISSING = object()
+
+
+@pytest.mark.parametrize("field, value", [
+    *[(field, value) for field in ("iterations", "crashes",
+                                   "skipped_iterations", "signature_asserts")
+      for value in _BAD_COUNTS],
+    ("program", _MISSING), ("program", "ARM-2-20-8"),
+    ("signatures", _MISSING), ("signatures", {}),
+    ("register_width", _MISSING), ("register_width", None),
+    ("register_width", 0), ("register_width", "64"),
+    ("register_width", 48), ("register_width", True),
+])
+def test_bad_campaign_header_is_a_format_error(finished_campaign, field,
+                                                value):
+    _, result = finished_campaign
+    doc = json.loads(repro_io.dump_campaign(result))
+    if value is _MISSING:
+        del doc[field]
+    else:
+        doc[field] = value
+    with pytest.raises(repro_io.FormatError, match=field):
+        repro_io.load_campaign(json.dumps(doc))
+
+
 class TestTruncationDiagnostics:
     def test_truncated_dump_names_the_byte_offset(self, finished_campaign):
         _, result = finished_campaign
