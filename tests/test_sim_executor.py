@@ -188,6 +188,13 @@ class TestPlatforms:
         with pytest.raises(ExecutionError):
             OperationalExecutor(small_program, Fake())
 
+    def test_layout_must_hold_every_address(self, small_program):
+        from repro.isa import MemoryLayout
+
+        with pytest.raises(ExecutionError, match="layout holds"):
+            OperationalExecutor(small_program, SC, layout=MemoryLayout(
+                small_program.num_addresses - 1))
+
     def test_uniform_random_mode(self, small_program):
         ex = OperationalExecutor(small_program, SC, seed=1, uniform_random=True)
         e = ex.run_one()
