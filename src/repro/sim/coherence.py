@@ -198,13 +198,6 @@ class L1Cache:
         entry.getx_outstanding = True
         self.system.request("GETX", line, self.core)
 
-    def peek(self, line: int, addr: int):
-        """Non-coherent debug read (None when absent)."""
-        entry = self.lines.get(line)
-        if entry is not None and entry.state in (S, E, M):
-            return entry.data.get(addr)
-        return None
-
     # -- protocol handlers ----------------------------------------------------------
 
     def handle_data(self, line: int, grant: str, data: dict) -> None:

@@ -57,7 +57,6 @@ class LatencyConfig:
     shared_hit: float = 14.0       # line valid but owned elsewhere (L2 / snoop)
     miss: float = 40.0             # first touch / coherence miss
     invalidation: float = 28.0     # upgrade requiring remote invalidations
-    store_buffer_push: float = 1.0
     #: relative latency jitter: each access takes up to ``jitter`` times
     #: longer, uniformly.  Slow (contended) accesses therefore contribute
     #: proportionally more timing noise, which is how false sharing
