@@ -124,11 +124,8 @@ def run_campaign_fleet(config=None, program=None, *, iterations: int,
     base = FleetConfig() if fleet is None else fleet
     progress = (FleetProgress()
                 if obs.enabled or on_beat is not None else None)
-    supervisor = FleetSupervisor(
-        FleetConfig(jobs=jobs, timeout_s=base.timeout_s,
-                    max_retries=base.max_retries,
-                    start_method=base.start_method),
-        progress=progress, on_beat=on_beat)
+    supervisor = FleetSupervisor(dataclasses.replace(base, jobs=jobs),
+                                 progress=progress, on_beat=on_beat)
     obs.gauge("fleet.jobs").set(jobs)
     obs.counter("fleet.shards").inc(len(tasks))
     obs.emit("fleet.plan", shards=len(tasks), jobs=jobs,

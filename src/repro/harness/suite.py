@@ -9,7 +9,7 @@ reports (unique interleavings, checking work, violations, crashes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.checker.results import COMPLETE, INCREMENTAL, NO_RESORT
 from repro.errors import ReproError
@@ -127,15 +127,16 @@ class SuiteRunner:
 
         Each test is one shard task carrying the test's full seed-block
         plan, so its worker-side execution is bit-identical to the
-        serial campaign with the same seed.  A dead worker (crash after
-        retries, timeout) records its whole test as crashed iterations
-        with zero observed signatures — the paper's bug-3 accounting —
-        and the suite carries on.
+        serial campaign with the same seed.  The tasks come from the
+        fleet's own builder, so a set-up error raises here, before
+        dispatch.  A dead worker (crash after retries, timeout) records
+        its whole test as crashed iterations with zero observed
+        signatures — the paper's bug-3 accounting — and the suite
+        carries on.
         """
         from repro import io as repro_io
-        from repro.fleet.sharding import plan_blocks
+        from repro.fleet.campaign import plan_campaign_tasks
         from repro.fleet.supervisor import FleetConfig, FleetSupervisor
-        from repro.fleet.worker import WorkerTask
         from repro.obs import get_obs
         from repro.sim.platform import platform_for_isa
 
@@ -150,36 +151,38 @@ class SuiteRunner:
                              "custom OS models need jobs=1")
         obs = get_obs()
         tasks = []
-        skipped_per_task = []
+        # per test: whether it has a task (lint may skip a test
+        # outright), and the iterations lint saved
+        gated = []
         for index, program in enumerate(
                 generate_suite(self.config, self.tests)):
             run_iterations, skipped = self._gate_test(program)
-            skipped_per_task.append(skipped)
-            tasks.append(WorkerTask(
-                program_doc=repro_io.dump_program(program),
-                blocks=tuple(plan_blocks(run_iterations)),
-                seed=seed + index, config=self.config, isa=self.config.isa,
+            test_tasks = plan_campaign_tasks(
+                program, self.config, run_iterations, 1, seed=seed + index,
                 instrumentation=self.campaign_kwargs.get(
                     "instrumentation", "signature"),
                 os_model=bool(os_model),
                 sync_barriers=self.campaign_kwargs.get("sync_barriers", False),
-                collect_metrics=obs.enabled))
+                collect_metrics=obs.enabled)
+            tasks.extend(test_tasks)
+            gated.append((bool(test_tasks), skipped))
         base = FleetConfig() if self.fleet is None else self.fleet
-        supervisor = FleetSupervisor(
-            FleetConfig(jobs=self.jobs, timeout_s=base.timeout_s,
-                        max_retries=base.max_retries,
-                        start_method=base.start_method))
+        supervisor = FleetSupervisor(replace(base, jobs=self.jobs))
         obs.counter("fleet.shards").inc(len(tasks))
         with obs.span("execute"):
-            outcomes = supervisor.run(tasks)
+            outcomes = iter(supervisor.run(tasks))
 
         stats = SuiteStats(self.config, tests=self.tests,
                            iterations_per_test=self.iterations)
         model = platform_for_isa(self.config.isa).memory_model
-        for outcome, skipped in zip(outcomes, skipped_per_task):
+        for has_task, skipped in gated:
             if skipped:
                 stats.skipped_tests += 1
                 stats.skipped_iterations += skipped
+            if not has_task:
+                stats.unique_signatures.append(0)
+                continue
+            outcome = next(outcomes)
             if outcome.crashed:
                 stats.unique_signatures.append(0)
                 stats.crashes += outcome.iterations

@@ -7,7 +7,7 @@ import pathlib
 import pytest
 
 from repro import obs
-from repro.errors import ReproError
+from repro.errors import ExecutionError, ReproError
 from repro.fleet import FleetConfig, run_campaign_fleet
 from repro.harness import Campaign, SuiteRunner, check_campaign_result
 from repro.testgen import TestConfig, paper_config
@@ -210,3 +210,25 @@ class TestSuiteFleet:
         cfg = TestConfig(threads=2, ops_per_thread=8, addresses=4, seed=2)
         with pytest.raises(ValueError):
             SuiteRunner(cfg, jobs=0)
+
+    def test_set_up_error_raises_before_dispatch(self):
+        # a worker would fail every test and report it as crashes
+        cfg = TestConfig(threads=2, ops_per_thread=8, addresses=4, seed=2)
+        for jobs in (1, 2):
+            with pytest.raises(ExecutionError, match="bogus"):
+                SuiteRunner(cfg, tests=2, iterations=20, jobs=jobs,
+                            instrumentation="bogus").run()
+
+    def test_lint_skipped_test_keeps_stats_aligned(self, monkeypatch):
+        cfg = TestConfig(threads=2, ops_per_thread=8, addresses=4, seed=2)
+        serial = SuiteRunner(cfg, tests=3, iterations=60).run(seed=4)
+        # lint skips the middle test outright: it gets no task
+        decisions = iter([(60, 0), (0, 60), (60, 0)])
+        monkeypatch.setattr(SuiteRunner, "_gate_test",
+                            lambda self, program: next(decisions))
+        fleet = SuiteRunner(cfg, tests=3, iterations=60, jobs=2,
+                            lint="skip").run(seed=4)
+        first, _, last = serial.unique_signatures
+        assert fleet.unique_signatures == [first, 0, last]
+        assert (fleet.skipped_tests, fleet.skipped_iterations) == (1, 60)
+        assert fleet.crashes == serial.crashes == 0
