@@ -18,11 +18,10 @@ legacy column; the deterministic work counts land in
 The paper reports an 81% average reduction (9.4%-44.9% of conventional).
 """
 
-import json
-import pathlib
 import time
 
-from conftest import campaign_graphs, obs_off, record_table
+from conftest import (FIG09_CONFIGS, FIG09_ITERS, FIG09_SEED, campaign_graphs,
+                      obs_off, record_table, write_count_snapshot)
 from repro import obs
 from repro.checker import (
     BaselineChecker,
@@ -31,17 +30,9 @@ from repro.checker import (
 )
 from repro.graph import GraphBuilder
 from repro.graph.toposort import topological_sort
-from repro.harness import format_table
+from repro.harness import CheckOutcome, format_table
+from repro.obs.bench import pinned_counts
 from repro.testgen import paper_config
-
-#: representative subset across thread counts and both platforms
-_CONFIGS = [
-    "ARM-2-50-32", "ARM-2-100-32", "ARM-2-200-32", "ARM-4-50-64",
-    "ARM-4-100-64", "ARM-7-50-64", "x86-2-50-32", "x86-2-100-32",
-    "x86-4-50-64", "x86-4-100-64",
-]
-_ITERS = 600
-_DELTA_SNAPSHOT = pathlib.Path(__file__).parent / "results" / "BENCH_delta.json"
 
 
 def _delta_source(campaign, result):
@@ -68,10 +59,10 @@ def _checking_rows():
     rows = []
     snapshot = {}
     sample = None
-    for name in _CONFIGS:
+    for name in FIG09_CONFIGS:
         cfg = paper_config(name)
-        campaign, result, graphs = campaign_graphs(cfg, iterations=_ITERS,
-                                                   seed=31)
+        campaign, result, graphs = campaign_graphs(
+            cfg, iterations=FIG09_ITERS, seed=FIG09_SEED)
         source = _delta_source(campaign, result)
         # one obs-enabled pass records the deterministic counters (and
         # warms the per-load edge table exactly once)
@@ -104,18 +95,12 @@ def _checking_rows():
             100.0 * collective_vertices / baseline_vertices
             if baseline_vertices else 0,
         ])
-        snapshot[name] = {
-            "graphs": delta.num_graphs,
-            "violations": len(delta.violations),
-            "sorted_vertices": delta.sorted_vertices,
-            "baseline_sorted_vertices": baseline.sorted_vertices,
-            "digits_changed": delta.digits_changed,
-            "edges_added": delta.edges_added,
-            "edges_removed": delta.edges_removed,
-            "info_ms": {"collective": round(collective.elapsed * 1e3, 3),
-                        "delta": round(delta.elapsed * 1e3, 3),
-                        "conventional": round(baseline.elapsed * 1e3, 3)},
-        }
+        snapshot[name] = dict(
+            pinned_counts(CheckOutcome(collective=delta, baseline=baseline,
+                                       pipeline="delta")),
+            info_ms={"collective": round(collective.elapsed * 1e3, 3),
+                     "delta": round(delta.elapsed * 1e3, 3),
+                     "conventional": round(baseline.elapsed * 1e3, 3)})
         if name == "ARM-2-100-32":
             sample = source
     return rows, snapshot, sample
@@ -128,12 +113,8 @@ def test_fig09_collective_checking_speedup(benchmark):
          "conventional ms", "normalized time %", "delta normalized %",
          "normalized sorted vertices %"], rows,
         title="Figure 9: collective vs conventional topological sorting "
-              "(%d iterations per test; paper avg: 19%% of conventional)" % _ITERS))
-    _DELTA_SNAPSHOT.parent.mkdir(exist_ok=True)
-    _DELTA_SNAPSHOT.write_text(json.dumps(
-        {"schema": "repro.bench-delta", "version": 1,
-         "iterations": _ITERS, "seed": 31, "configs": snapshot},
-        indent=2, sort_keys=True) + "\n")
+              "(%d iterations per test; paper avg: 19%% of conventional)" % FIG09_ITERS))
+    write_count_snapshot("delta", snapshot)
 
     mean_vertices = sum(r[7] for r in rows) / len(rows)
     assert mean_vertices < 55.0          # a clear majority of sorting saved
@@ -152,7 +133,7 @@ def _membership_workload():
     them: contiguous slices of a valid base order, sorted against the
     full adjacency with positions as tie-breakers."""
     campaign, result, graphs = campaign_graphs(
-        paper_config("ARM-2-100-32"), iterations=_ITERS, seed=31)
+        paper_config("ARM-2-100-32"), iterations=FIG09_ITERS, seed=FIG09_SEED)
     graph = graphs[len(graphs) // 2]
     n = graph.num_vertices
     order = topological_sort(range(n), graph.adjacency)

@@ -19,10 +19,8 @@ cost — EXPERIMENTS.md records that separately.  Two pins gate the run:
   configuration.
 """
 
-import json
-import pathlib
-
-from conftest import campaign_graphs, obs_off, record_table
+from conftest import (FIG09_CONFIGS, FIG09_ITERS, FIG09_SEED, campaign_graphs,
+                      obs_off, record_table, write_count_snapshot)
 from repro import obs
 from repro.checker import (
     BaselineChecker,
@@ -32,18 +30,11 @@ from repro.checker import (
     SignatureDeltaSource,
 )
 from repro.graph import GraphBuilder
-from repro.harness import format_table
+from repro.harness import CheckOutcome, format_table
+from repro.obs.bench import pinned_counts
 from repro.testgen import paper_config
 
-#: same representative subset as ``bench_fig09_checking``
-_CONFIGS = [
-    "ARM-2-50-32", "ARM-2-100-32", "ARM-2-200-32", "ARM-4-50-64",
-    "ARM-4-100-64", "ARM-7-50-64", "x86-2-50-32", "x86-2-100-32",
-    "x86-4-50-64", "x86-4-100-64",
-]
-_ITERS = 600
 _MIN_SPEEDUP = 5.0
-_SNAPSHOT = pathlib.Path(__file__).parent / "results" / "BENCH_packed.json"
 
 
 def _best_of(fn, *args, repeats=5, budget_s=0.02, cap=60):
@@ -71,10 +62,10 @@ def _packed_rows():
     rows = []
     snapshot = {}
     sample = None
-    for name in _CONFIGS:
+    for name in FIG09_CONFIGS:
         cfg = paper_config(name)
-        campaign, result, graphs = campaign_graphs(cfg, iterations=_ITERS,
-                                                   seed=31)
+        campaign, result, graphs = campaign_graphs(
+            cfg, iterations=FIG09_ITERS, seed=FIG09_SEED)
         signatures = result.sorted_signatures()
         builder = GraphBuilder(campaign.program, campaign.model,
                                ws_mode="static")
@@ -106,21 +97,13 @@ def _packed_rows():
             packed.elapsed * 1e3, delta.elapsed * 1e3, baseline.elapsed * 1e3,
             speedup, packed.digits_changed,
         ])
-        snapshot[name] = {
-            "graphs": packed.num_graphs,
-            "violations": len(packed.violations),
-            "sorted_vertices": packed.sorted_vertices,
-            "baseline_sorted_vertices": baseline.sorted_vertices,
-            "digits_changed": packed.digits_changed,
-            "edges_added": packed.edges_added,
-            "edges_removed": packed.edges_removed,
-            "edge_universe": plan.num_edges,
-            "digit_columns": plan.digit_columns,
-            "info_ms": {"packed": round(packed.elapsed * 1e3, 3),
-                        "delta": round(delta.elapsed * 1e3, 3),
-                        "conventional": round(baseline.elapsed * 1e3, 3),
-                        "speedup": round(speedup, 2)},
-        }
+        snapshot[name] = dict(
+            pinned_counts(CheckOutcome(collective=packed, baseline=baseline,
+                                       pipeline="packed", source=plan)),
+            info_ms={"packed": round(packed.elapsed * 1e3, 3),
+                     "delta": round(delta.elapsed * 1e3, 3),
+                     "conventional": round(baseline.elapsed * 1e3, 3),
+                     "speedup": round(speedup, 2)})
         if name == "ARM-2-100-32":
             sample = plan
     return rows, snapshot, sample
@@ -133,12 +116,8 @@ def test_packed_core_speedup(benchmark):
          "conventional ms", "speedup x", "digit transitions"], rows,
         title="Packed replay (plan compile excluded) vs conventional and "
               "delta pipelines (%d iterations per test; pin: >=%.0fx "
-              "everywhere)" % (_ITERS, _MIN_SPEEDUP)))
-    _SNAPSHOT.parent.mkdir(exist_ok=True)
-    _SNAPSHOT.write_text(json.dumps(
-        {"schema": "repro.bench-packed", "version": 1,
-         "iterations": _ITERS, "seed": 31, "configs": snapshot},
-        indent=2, sort_keys=True) + "\n")
+              "everywhere)" % (FIG09_ITERS, _MIN_SPEEDUP)))
+    write_count_snapshot("packed", snapshot)
 
     # >=5x replay speedup over conventional on every config
     slow = [(r[0], r[5]) for r in rows if r[5] < _MIN_SPEEDUP]

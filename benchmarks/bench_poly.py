@@ -19,10 +19,8 @@ per-cell cost must stay an order of magnitude above the array kernels,
 which is exactly why ``auto`` never dispatches to it.
 """
 
-import json
-import pathlib
-
-from conftest import campaign_graphs, obs_off, record_table
+from conftest import (FIG09_CONFIGS, FIG09_ITERS, FIG09_SEED, campaign_graphs,
+                      obs_off, record_table, write_count_snapshot)
 from repro import obs
 from repro.checker import (
     BaselineChecker,
@@ -33,17 +31,9 @@ from repro.checker import (
     violation_digest,
 )
 from repro.graph import GraphBuilder
-from repro.harness import format_table
+from repro.harness import CheckOutcome, format_table
+from repro.obs.bench import pinned_counts
 from repro.testgen import paper_config
-
-#: same representative subset as ``bench_fig09_checking`` / ``bench_packed``
-_CONFIGS = [
-    "ARM-2-50-32", "ARM-2-100-32", "ARM-2-200-32", "ARM-4-50-64",
-    "ARM-4-100-64", "ARM-7-50-64", "x86-2-50-32", "x86-2-100-32",
-    "x86-4-50-64", "x86-4-100-64",
-]
-_ITERS = 600
-_SNAPSHOT = pathlib.Path(__file__).parent / "results" / "BENCH_poly.json"
 
 
 def _best_of(fn, *args, repeats=5, budget_s=0.02, cap=60):
@@ -65,10 +55,10 @@ def _poly_rows():
     rows = []
     snapshot = {}
     sample = None
-    for name in _CONFIGS:
+    for name in FIG09_CONFIGS:
         cfg = paper_config(name)
-        campaign, result, graphs = campaign_graphs(cfg, iterations=_ITERS,
-                                                   seed=31)
+        campaign, result, graphs = campaign_graphs(
+            cfg, iterations=FIG09_ITERS, seed=FIG09_SEED)
         signatures = result.sorted_signatures()
         builder = GraphBuilder(campaign.program, campaign.model,
                                ws_mode="static")
@@ -102,23 +92,14 @@ def _poly_rows():
             source.stats["closure_unions"],
             source.stats["dynamic_pairs"],
         ])
-        snapshot[name] = {
-            "graphs": poly.num_graphs,
-            "violations": len(poly.violations),
-            "sorted_vertices": poly.sorted_vertices,
-            "baseline_sorted_vertices": baseline.sorted_vertices,
-            "digits_changed": poly.digits_changed,
-            "edges_added": poly.edges_added,
-            "edges_removed": poly.edges_removed,
-            "static_pairs": len(source.verifier.static_pairs),
-            "closure_unions": source.stats["closure_unions"],
-            "dynamic_pairs": source.stats["dynamic_pairs"],
-            "info_ms": {"poly": round(poly.elapsed * 1e3, 3),
-                        "delta": round(delta.elapsed * 1e3, 3),
-                        "conventional": round(baseline.elapsed * 1e3, 3),
-                        "poly_us_per_cell": round(
-                            poly.elapsed * 1e6 / cells, 4) if cells else 0.0},
-        }
+        snapshot[name] = dict(
+            pinned_counts(CheckOutcome(collective=poly, baseline=baseline,
+                                       pipeline="poly", source=source)),
+            info_ms={"poly": round(poly.elapsed * 1e3, 3),
+                     "delta": round(delta.elapsed * 1e3, 3),
+                     "conventional": round(baseline.elapsed * 1e3, 3),
+                     "poly_us_per_cell": round(
+                         poly.elapsed * 1e6 / cells, 4) if cells else 0.0})
         if name == "ARM-2-100-32":
             sample = source
     return rows, snapshot, sample
@@ -131,12 +112,8 @@ def test_poly_cross_family_head_to_head(benchmark):
          "conventional ms", "poly us/cell", "closure unions",
          "dynamic pairs"], rows,
         title="Poly frontier closure vs the graph family "
-              "(%d iterations per test; digest parity pinned)" % _ITERS))
-    _SNAPSHOT.parent.mkdir(exist_ok=True)
-    _SNAPSHOT.write_text(json.dumps(
-        {"schema": "repro.bench-poly", "version": 1,
-         "iterations": _ITERS, "seed": 31, "configs": snapshot},
-        indent=2, sort_keys=True) + "\n")
+              "(%d iterations per test; digest parity pinned)" % FIG09_ITERS))
+    write_count_snapshot("poly", snapshot)
 
     # the oracle family must actually close something on every config
     assert all(r[6] > 0 and r[7] > 0 for r in rows)

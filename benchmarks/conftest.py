@@ -36,11 +36,23 @@ import pathlib
 from repro import obs
 from repro.graph import GraphBuilder
 from repro.harness import Campaign
+from repro.obs.bench import CHECK_LEGS
 
 #: iterations per test run (paper: 65,536)
 BENCH_ITERS = int(os.environ.get("REPRO_BENCH_ITERS", "192"))
 #: distinct tests per configuration (paper: 10)
 BENCH_TESTS = int(os.environ.get("REPRO_BENCH_TESTS", "2"))
+
+#: the Figure-9 configs the checking benches (fig09, packed, poly) run,
+#: at one iteration count and seed; their count snapshots embed both,
+#: and ``repro bench diff --check`` re-runs three configs with them
+FIG09_CONFIGS = [
+    "ARM-2-50-32", "ARM-2-100-32", "ARM-2-200-32", "ARM-4-50-64",
+    "ARM-4-100-64", "ARM-7-50-64", "x86-2-50-32", "x86-2-100-32",
+    "x86-4-50-64", "x86-4-100-64",
+]
+FIG09_ITERS = 600
+FIG09_SEED = 31
 
 _RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 _TABLES: list[tuple[str, str]] = []
@@ -51,6 +63,16 @@ def record_table(name: str, text: str) -> None:
     _TABLES.append((name, text))
     _RESULTS_DIR.mkdir(exist_ok=True)
     (_RESULTS_DIR / (name + ".txt")).write_text(text + "\n")
+
+
+def write_count_snapshot(pipeline: str, configs: dict) -> None:
+    """Write a checking pipeline's per-config counts to the snapshot the
+    count gate reads for it (``repro.obs.bench.CHECK_LEGS``)."""
+    _RESULTS_DIR.mkdir(exist_ok=True)
+    (_RESULTS_DIR / CHECK_LEGS[pipeline].snapshot).write_text(json.dumps(
+        {"schema": "repro.bench-%s" % pipeline, "version": 1,
+         "iterations": FIG09_ITERS, "seed": FIG09_SEED, "configs": configs},
+        indent=2, sort_keys=True) + "\n")
 
 
 _OBS_SNAPSHOTS: dict[str, dict] = {}

@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from repro import io as repro_io
@@ -785,35 +784,13 @@ def _cmd_bench_diff(args) -> int:
 
     tolerance = bench.DEFAULT_TOLERANCE if args.tolerance is None \
         else args.tolerance
+    comparison: bench.CountGate | bench.BenchComparison
     if args.check:
         if args.baseline or args.current:
             raise ValueError("--check re-runs the pinned configs itself; "
                              "drop the BASELINE/CURRENT arguments")
         comparison = bench.check_against_committed(args.results,
                                                    tolerance=tolerance)
-        extra = []
-        for pipeline, snapshot in (("packed", bench.PACKED_SNAPSHOT),
-                                   ("poly", bench.POLY_SNAPSHOT)):
-            if os.path.exists(os.path.join(args.results, snapshot)):
-                extra.append((pipeline, bench.check_against_committed(
-                    args.results, tolerance=tolerance,
-                    snapshot=snapshot, pipeline=pipeline)))
-        if extra:
-            legs = [("delta", comparison)] + extra
-            if args.json:
-                json.dump({name: cmp.to_json() for name, cmp in legs},
-                          sys.stdout, indent=2, sort_keys=True)
-                sys.stdout.write("\n")
-            else:
-                for name, cmp in legs:
-                    print(cmp.render())
-                for name, cmp in legs:
-                    if cmp.failed:
-                        print("BENCH REGRESSION (%s): %d regressed leaves, "
-                              "%d shape changes"
-                              % (name, len(cmp.regressions),
-                                 len(cmp.shape_changes)))
-            return 1 if any(cmp.failed for _, cmp in legs) else 0
     else:
         if not (args.baseline and args.current):
             raise ValueError("need BASELINE and CURRENT snapshots "
@@ -826,10 +803,6 @@ def _cmd_bench_diff(args) -> int:
         sys.stdout.write("\n")
     else:
         print(comparison.render())
-        if comparison.failed:
-            print("BENCH REGRESSION: %d regressed leaves, %d shape changes"
-                  % (len(comparison.regressions),
-                     len(comparison.shape_changes)))
     return 1 if comparison.failed else 0
 
 
@@ -1134,8 +1107,9 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("current", nargs="?",
                     help="current snapshot JSON (omit with --check)")
     bp.add_argument("--check", action="store_true",
-                    help="re-run the pinned quick configs and compare "
-                         "against the committed benchmarks/ snapshots")
+                    help="re-run the gate configs through the delta, "
+                         "packed and poly pipelines and compare their "
+                         "counts with the committed benchmarks/ snapshots")
     bp.add_argument("--results", default="benchmarks/results",
                     help="committed snapshot directory used by --check")
     bp.add_argument("--tolerance", type=float, default=None,

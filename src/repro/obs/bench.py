@@ -14,12 +14,14 @@ Three consumers:
 
 * ``repro bench diff BASELINE CURRENT`` — tolerance-banded comparison
   of any two snapshot files; exit 1 on regressions.
-* ``repro bench diff --check`` — the CI watchdog: re-runs the pinned
-  quick configs (:data:`CHECK_CONFIGS` of ``BENCH_delta.json``, whose
-  embedded ``iterations``/``seed`` make the counts bit-reproducible)
-  and compares the fresh counts against the committed snapshot.
+* ``repro bench diff --check`` — the deterministic count gate: runs
+  each :data:`CHECK_CONFIGS` campaign once, at the iterations and seed
+  embedded in the :data:`CHECK_LEGS` snapshots, checks it with
+  ``graphs`` and with every leg's pipeline, requires each leg's
+  verdicts to match those of ``graphs``, and compares each leg's
+  :func:`pinned_counts` with its committed snapshot exactly.
   Timings are reported but never fail the check — CI runners are too
-  noisy for wall-clock gates (same policy as ``delta_guard.py``).
+  noisy for wall-clock gates.
 * ``repro bench record`` — appends a headline digest of a snapshot to
   ``benchmarks/results/BENCH_history.jsonl``, the per-PR trajectory of
   the repo's own performance counters.
@@ -29,25 +31,48 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from repro.errors import ReproError
 
 #: relative band for timing leaves; counts are always compared exactly
 DEFAULT_TOLERANCE = 0.1
 
-#: quick deterministic configs re-run by ``repro bench diff --check``
-CHECK_CONFIGS = ("ARM-2-50-32", "x86-2-50-32")
+#: the campaigns ``repro bench diff --check`` re-runs: both ISAs, and
+#: two x86 graph-population sizes
+CHECK_CONFIGS = ("ARM-2-50-32", "x86-2-50-32", "x86-2-100-32")
 
-#: the committed snapshot the watchdog re-runs against
-CHECK_SNAPSHOT = "BENCH_delta.json"
 
-#: packed-core snapshot; the watchdog re-runs it too when committed
-PACKED_SNAPSHOT = "BENCH_packed.json"
+class CheckLeg(NamedTuple):
+    """One pipeline the count gate checks, and its committed snapshot."""
 
-#: poly frontier-closure snapshot; ditto
-POLY_SNAPSHOT = "BENCH_poly.json"
+    snapshot: str
+    #: verdict parity with ``graphs``: ``"summary"`` is a byte-identical
+    #: collective summary (within the graph family); ``"digest"`` the
+    #: cross-family :func:`repro.checker.violation_digest`
+    parity: str
+    #: counts of the pipeline's own source that its report lacks
+    source_counts: Callable = None
+
+
+#: pipeline -> leg; the committed snapshots share their embedded
+#: ``iterations``/``seed``
+CHECK_LEGS = {
+    "delta": CheckLeg("BENCH_delta.json", "summary"),
+    "packed": CheckLeg("BENCH_packed.json", "summary", lambda plan: {
+        "edge_universe": plan.num_edges,
+        "digit_columns": plan.digit_columns}),
+    "poly": CheckLeg("BENCH_poly.json", "digest", lambda source: {
+        "static_pairs": len(source.verifier.static_pairs),
+        "closure_unions": source.stats["closure_unions"],
+        "dynamic_pairs": source.stats["dynamic_pairs"]}),
+}
+
+#: the snapshot the gate reads first
+CHECK_SNAPSHOT = CHECK_LEGS["delta"].snapshot
 
 #: key fragments marking a leaf as wall-clock derived
 _TIMING_SUFFIXES = ("_ms", "_s", "_seconds")
@@ -132,6 +157,9 @@ class BenchComparison:
     deltas: list = field(default_factory=list)
     #: timing leaves never fail the comparison when set (--check mode)
     counts_only: bool = False
+    #: "<leg> on <config>: ..." lines where a leg's verdicts differed
+    #: from ``graphs`` (--check mode)
+    parity_breaks: list = field(default_factory=list)
 
     def _with_status(self, *statuses):
         return [d for d in self.deltas if d.status in statuses]
@@ -153,14 +181,17 @@ class BenchComparison:
 
     @property
     def failed(self) -> bool:
-        """True when the current snapshot regressed (or changed shape)."""
-        return bool(self.regressions) or bool(self.shape_changes)
+        """True when the current snapshot regressed, changed shape or
+        broke verdict parity."""
+        return bool(self.regressions or self.shape_changes
+                    or self.parity_breaks)
 
     def to_json(self) -> dict:
         return {"tolerance": self.tolerance,
                 "counts_only": self.counts_only,
                 "compared": len(self.deltas),
                 "failed": self.failed,
+                "parity_breaks": list(self.parity_breaks),
                 "deltas": [d.to_json() for d in self.deltas
                            if d.status != "ok"]}
 
@@ -168,10 +199,12 @@ class BenchComparison:
         from repro.harness.reporting import format_table
 
         flagged = [d for d in self.deltas if d.status != "ok"]
-        if not flagged:
+        if not flagged and not self.parity_breaks:
             return ("bench diff ok: %d leaves compared, none outside the "
                     "%.0f%% timing band"
                     % (len(self.deltas), 100 * self.tolerance))
+        lines = ["VERDICT PARITY BROKEN: %s" % line
+                 for line in self.parity_breaks]
         rows = []
         for delta in sorted(flagged, key=lambda d: (d.status, d.key)):
             ratio = delta.ratio
@@ -184,11 +217,17 @@ class BenchComparison:
                          delta.status.upper()
                          if delta.status == "regression"
                          else delta.status])
-        return format_table(
-            ["key", "kind", "baseline", "current", "ratio", "status"],
-            rows,
-            title="bench diff: %d/%d leaves flagged (timing band %.0f%%)"
-            % (len(flagged), len(self.deltas), 100 * self.tolerance))
+        if rows:
+            lines.append(format_table(
+                ["key", "kind", "baseline", "current", "ratio", "status"],
+                rows,
+                title="bench diff: %d/%d leaves flagged (timing band %.0f%%)"
+                % (len(flagged), len(self.deltas), 100 * self.tolerance)))
+        if self.failed:
+            lines.append("BENCH REGRESSION: %d regressed leaves, %d shape "
+                         "changes" % (len(self.regressions),
+                                      len(self.shape_changes)))
+        return "\n".join(lines)
 
 
 def diff_snapshots(baseline: dict, current: dict,
@@ -238,6 +277,9 @@ def load_snapshot(path) -> dict:
     try:
         with open(path) as handle:
             doc = json.load(handle)
+    except OSError as exc:
+        raise BenchSchemaError("cannot read %s: %s"
+                               % (path, exc.strerror)) from None
     except json.JSONDecodeError as exc:
         raise BenchSchemaError("%s is not valid JSON: %s"
                                % (path, exc)) from None
@@ -246,85 +288,146 @@ def load_snapshot(path) -> dict:
     return doc
 
 
-# -- the CI watchdog -----------------------------------------------------------------
+# -- the count gate ------------------------------------------------------------------
 
 
-def collect_check_counts(config_names, iterations: int, seed: int,
-                         pipeline: str = "delta") -> dict:
-    """Deterministic checking-pipeline counts for the watchdog configs.
+def pinned_counts(outcome) -> dict:
+    """The deterministic work counts a snapshot pins for one checked
+    campaign, a :class:`repro.harness.CheckOutcome` with its baseline.
 
-    Mirrors ``benchmarks/bench_fig09`` / ``delta_guard``: seeded pure
-    Python end to end, so every leaf is bit-reproducible.  The
-    ``packed`` pipeline adds its plan-level counts (edge-universe size
-    and digit columns), matching ``bench_packed``; the
-    ``poly`` pipeline adds its closure-effort counts (rule applications
-    and dynamic ordering facts), matching ``bench_poly``.
+    Unique graphs, violations, the complete/no-resort/incremental
+    method mix, sorted vertices (collective and baseline), decoded
+    digits and edge deltas, plus the source counts :data:`CHECK_LEGS`
+    names for the outcome's pipeline.  Campaigns are seeded pure
+    Python, so every count is bit-reproducible across machines.
     """
-    # local imports: repro.obs must stay importable without the harness
-    from repro.harness import Campaign, check_campaign_result
-    from repro.testgen import paper_config
+    from repro.checker.results import COMPLETE, INCREMENTAL, NO_RESORT
 
-    counts = {}
-    for name in config_names:
-        campaign = Campaign(config=paper_config(name), seed=seed)
-        result = campaign.run(iterations)
-        outcome = check_campaign_result(result, campaign.model,
-                                        pipeline=pipeline)
-        report = outcome.collective
-        counts[name] = {
-            "graphs": report.num_graphs,
-            "violations": len(report.violations),
-            "sorted_vertices": report.sorted_vertices,
-            "baseline_sorted_vertices": outcome.baseline.sorted_vertices,
-            "digits_changed": report.digits_changed,
-            "edges_added": report.edges_added,
-            "edges_removed": report.edges_removed,
-        }
-        if pipeline == "packed":
-            plan = outcome.source
-            counts[name].update(edge_universe=plan.num_edges,
-                                digit_columns=plan.digit_columns)
-        if pipeline == "poly":
-            source = outcome.source
-            counts[name].update(
-                static_pairs=len(source.verifier.static_pairs),
-                closure_unions=source.stats["closure_unions"],
-                dynamic_pairs=source.stats["dynamic_pairs"])
+    report = outcome.collective
+    counts = {
+        "graphs": report.num_graphs,
+        "violations": len(report.violations),
+        "methods": {"complete": report.count(COMPLETE),
+                    "no_resort": report.count(NO_RESORT),
+                    "incremental": report.count(INCREMENTAL)},
+        "sorted_vertices": report.sorted_vertices,
+        "baseline_sorted_vertices": outcome.baseline.sorted_vertices,
+        "digits_changed": report.digits_changed,
+        "edges_added": report.edges_added,
+        "edges_removed": report.edges_removed,
+    }
+    leg = CHECK_LEGS.get(outcome.pipeline)
+    if leg is not None and leg.source_counts is not None:
+        counts.update(leg.source_counts(outcome.source))
     return counts
 
 
-def check_against_committed(results_dir,
-                            tolerance: float = DEFAULT_TOLERANCE,
-                            configs=CHECK_CONFIGS,
-                            snapshot: str = CHECK_SNAPSHOT,
-                            pipeline: str = "delta") -> BenchComparison:
-    """Re-run the pinned quick configs; diff against the committed
-    snapshot (counts gate, timings informational)."""
-    import os
+@dataclass
+class CountGate:
+    """What ``repro bench diff --check`` found: one comparison per leg."""
 
-    snapshot_path = os.path.join(results_dir, snapshot)
-    committed = load_snapshot(snapshot_path)
-    iterations = committed.get("iterations")
-    seed = committed.get("seed")
-    if not isinstance(iterations, int) or not isinstance(seed, int):
+    #: the configs every leg was checked on
+    configs: tuple
+    #: leg -> counts-only :class:`BenchComparison` against its snapshot
+    legs: dict = field(default_factory=dict)
+    #: timings never fail the gate; counts and verdict parity do
+    counts_only = True
+
+    @property
+    def deltas(self) -> list:
+        """Every compared leaf of every leg."""
+        return [delta for comparison in self.legs.values()
+                for delta in comparison.deltas]
+
+    @property
+    def failed(self) -> bool:
+        return any(comparison.failed for comparison in self.legs.values())
+
+    def to_json(self) -> dict:
+        return {leg: dict(comparison.to_json(), configs=list(self.configs))
+                for leg, comparison in self.legs.items()}
+
+    def render(self) -> str:
+        return "\n".join("%s leg (%s): %s"
+                         % (leg, ", ".join(self.configs), comparison.render())
+                         for leg, comparison in self.legs.items())
+
+
+def _committed_leg(results_dir, leg: str) -> dict:
+    """A leg's committed snapshot, with what the gate reads checked."""
+    path = os.path.join(results_dir, CHECK_LEGS[leg].snapshot)
+    doc = load_snapshot(path)
+    if not isinstance(doc.get("iterations"), int) \
+            or not isinstance(doc.get("seed"), int):
         raise BenchSchemaError(
-            "%s lacks the embedded iterations/seed the watchdog re-runs "
-            "with" % snapshot_path)
-    all_configs = committed.get("configs")
-    if not isinstance(all_configs, dict):
-        raise BenchSchemaError("%s has no 'configs' table" % snapshot_path)
-    missing = [name for name in configs if name not in all_configs]
+            "%s lacks the embedded iterations/seed the gate re-runs with"
+            % path)
+    configs = doc.get("configs")
+    missing = [name for name in CHECK_CONFIGS
+               if not isinstance(configs, dict) or name not in configs]
     if missing:
-        raise BenchSchemaError("%s lacks watchdog configs %s"
-                               % (snapshot_path, ", ".join(missing)))
-    baseline = {name: {key: value
-                       for key, value in all_configs[name].items()
-                       if key != "info_ms"}
-                for name in configs}
-    fresh = collect_check_counts(configs, iterations, seed,
-                                 pipeline=pipeline)
-    return diff_snapshots({"configs": baseline}, {"configs": fresh},
-                          tolerance=tolerance, counts_only=True)
+        raise BenchSchemaError("%s lacks gate configs %s"
+                               % (path, ", ".join(missing)))
+    return doc
+
+
+def check_against_committed(results_dir,
+                            tolerance: float = DEFAULT_TOLERANCE
+                            ) -> CountGate:
+    """Run the count gate against the committed leg snapshots.
+
+    The snapshots must embed one ``iterations``/``seed`` pair.  Each
+    config's campaign runs once with it and is checked once with
+    ``graphs``.  Every leg's pipeline checks the same campaign, must
+    match ``graphs`` by the leg's parity and on the baseline summary,
+    and has its :func:`pinned_counts` compared exactly with its
+    snapshot's (``info_ms`` left out).
+    """
+    from repro.checker import violation_digest
+    from repro.harness import Campaign, check_campaign_result
+    from repro.testgen import paper_config
+
+    committed = {leg: _committed_leg(results_dir, leg) for leg in CHECK_LEGS}
+    knobs = {(doc["iterations"], doc["seed"]) for doc in committed.values()}
+    if len(knobs) > 1:
+        raise BenchSchemaError(
+            "the leg snapshots embed different iterations/seed: %s"
+            % ", ".join("%s %d/%d" % (CHECK_LEGS[leg].snapshot,
+                                      doc["iterations"], doc["seed"])
+                        for leg, doc in committed.items()))
+    ((iterations, seed),) = knobs
+    verdicts = {"summary": ("collective summary", lambda r: r.summary()),
+                "digest": ("violation digest", violation_digest)}
+    fresh = {leg: {} for leg in CHECK_LEGS}
+    breaks = {leg: [] for leg in CHECK_LEGS}
+    for name in CHECK_CONFIGS:
+        campaign = Campaign(config=paper_config(name), seed=seed)
+        result = campaign.run(iterations)
+        reference = check_campaign_result(result, campaign.model,
+                                          pipeline="graphs")
+        for leg, spec in CHECK_LEGS.items():
+            outcome = check_campaign_result(result, campaign.model,
+                                            pipeline=leg)
+            what, project = verdicts[spec.parity]
+            if project(outcome.collective) != project(reference.collective):
+                breaks[leg].append("%s on %s: %s differs from graphs"
+                                   % (leg, name, what))
+            if outcome.baseline.summary() != reference.baseline.summary():
+                breaks[leg].append("%s on %s: baseline summary differs "
+                                   "from graphs" % (leg, name))
+            fresh[leg][name] = pinned_counts(outcome)
+    gate = CountGate(CHECK_CONFIGS)
+    for leg, doc in committed.items():
+        pinned = {name: {key: value
+                         for key, value in doc["configs"][name].items()
+                         if key != "info_ms"}
+                  for name in CHECK_CONFIGS}
+        comparison = diff_snapshots({"configs": pinned},
+                                    {"configs": fresh[leg]},
+                                    tolerance=tolerance, counts_only=True)
+        comparison.parity_breaks = breaks[leg]
+        gate.legs[leg] = comparison
+    return gate
 
 
 # -- trajectory history --------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Tests for the bench-regression watchdog (repro.obs.bench)."""
 
+import dataclasses
 import json
 import pathlib
+import shutil
 
 import pytest
 
+from repro.checker import PackedChecker, PolyChecker
+from repro.cli import main
 from repro.obs import bench
 
 RESULTS_DIR = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
@@ -200,3 +204,116 @@ class TestWatchdog:
                         "configs": {"ARM-2-50-32": {"graphs": 1}}})
         with pytest.raises(bench.BenchSchemaError, match="x86-2-50-32"):
             bench.check_against_committed(str(tmp_path))
+
+
+#: per leg, every count the per-pipeline guard snapshots pinned before
+#: the gate took them over, written out
+GUARD_LEAVES = ["graphs", "violations", "methods.complete",
+                "methods.no_resort", "methods.incremental",
+                "sorted_vertices", "baseline_sorted_vertices",
+                "digits_changed", "edges_added", "edges_removed"]
+LEG_LEAVES = {
+    "delta": GUARD_LEAVES,
+    "packed": GUARD_LEAVES + ["edge_universe", "digit_columns"],
+    "poly": GUARD_LEAVES + ["static_pairs", "closure_unions",
+                            "dynamic_pairs"],
+}
+
+
+@pytest.fixture(scope="module")
+def committed_gate():
+    return bench.check_against_committed(str(RESULTS_DIR))
+
+
+def copy_leg_snapshots(tmp_path):
+    for leg in bench.CHECK_LEGS.values():
+        shutil.copy(RESULTS_DIR / leg.snapshot, tmp_path / leg.snapshot)
+
+
+class TestCountGate:
+    def test_every_leg_on_every_config(self, committed_gate):
+        assert not committed_gate.failed, committed_gate.render()
+        assert bench.CHECK_CONFIGS == ("ARM-2-50-32", "x86-2-50-32",
+                                       "x86-2-100-32")
+        assert list(committed_gate.legs) == ["delta", "packed", "poly"]
+        for leg, comparison in committed_gate.legs.items():
+            assert {d.key for d in comparison.deltas} == {
+                "configs.%s.%s" % (name, leaf)
+                for name in bench.CHECK_CONFIGS for leaf in LEG_LEAVES[leg]}
+            assert comparison.parity_breaks == []
+
+    def test_json_has_one_entry_per_leg(self, capsys):
+        assert main(["bench", "diff", "--check", "--json",
+                     "--results", str(RESULTS_DIR)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert sorted(doc) == ["delta", "packed", "poly"]
+        for leg, entry in doc.items():
+            assert entry["configs"] == list(bench.CHECK_CONFIGS)
+            assert entry["compared"] == 3 * len(LEG_LEAVES[leg])
+            assert entry["failed"] is False
+            assert entry["parity_breaks"] == []
+
+    def test_bench_scripts_pin_the_same_leaves(self):
+        for leg, spec in bench.CHECK_LEGS.items():
+            doc = bench.load_snapshot(RESULTS_DIR / spec.snapshot)
+            for name, counts in doc["configs"].items():
+                leaves = bench.flatten_numeric(counts)
+                assert sorted(key for key in leaves
+                              if not bench.is_timing_key(key)) == \
+                    sorted(LEG_LEAVES[leg]), (leg, name)
+
+    @pytest.mark.parametrize("checker,leg,change,what", [
+        # a re-sort window: the summary reads it, no pinned count does
+        (PackedChecker, "packed", {"resorted_vertices": 99},
+         "collective summary"),
+        # a violation: the cross-family digest reads it
+        (PolyChecker, "poly", {"violation": True}, "violation digest"),
+    ])
+    def test_a_leg_that_disagrees_with_graphs_fails(self, monkeypatch,
+                                                    capsys, checker, leg,
+                                                    change, what):
+        real = checker.check
+
+        def tampered(self, source):
+            report = real(self, source)
+            report.verdicts[0] = dataclasses.replace(report.verdicts[0],
+                                                     **change)
+            return report
+
+        monkeypatch.setattr(checker, "check", tampered)
+        gate = bench.check_against_committed(str(RESULTS_DIR))
+        assert gate.failed
+        assert gate.legs[leg].parity_breaks == [
+            "%s on %s: %s differs from graphs" % (leg, name, what)
+            for name in bench.CHECK_CONFIGS]
+        if leg == "packed":
+            assert gate.legs[leg].regressions == []
+        assert [other for other, comparison in gate.legs.items()
+                if comparison.failed] == [leg]
+        assert main(["bench", "diff", "--check",
+                     "--results", str(RESULTS_DIR)]) == 1
+        out = capsys.readouterr().out
+        assert "VERDICT PARITY BROKEN: %s on x86-2-100-32" % leg in out
+
+    @pytest.mark.parametrize("leg", ["delta", "packed", "poly"])
+    def test_missing_leg_snapshot_is_a_schema_error(self, tmp_path, leg):
+        copy_leg_snapshots(tmp_path)
+        snapshot = bench.CHECK_LEGS[leg].snapshot
+        (tmp_path / snapshot).unlink()
+        with pytest.raises(bench.BenchSchemaError, match=snapshot):
+            bench.check_against_committed(str(tmp_path))
+        assert main(["bench", "diff", "--check",
+                     "--results", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("knob", ["iterations", "seed"])
+    def test_legs_must_share_iterations_and_seed(self, tmp_path, knob):
+        copy_leg_snapshots(tmp_path)
+        path = tmp_path / bench.CHECK_LEGS["poly"].snapshot
+        doc = json.loads(path.read_text())
+        doc[knob] += 1
+        write_snapshot(path, doc)
+        with pytest.raises(bench.BenchSchemaError,
+                           match="different iterations/seed"):
+            bench.check_against_committed(str(tmp_path))
+        assert main(["bench", "diff", "--check",
+                     "--results", str(tmp_path)]) == 2
