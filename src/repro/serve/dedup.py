@@ -139,12 +139,14 @@ class SignatureDedupStore:
                 try:
                     doc = json.loads(line)
                     signature = _signature_from_list(doc["words"])
-                    violation = bool(doc["violation"])
+                    violation = doc["violation"]
                     campaign = doc["campaign"]
                 except (ValueError, KeyError, TypeError, FormatError):
                     # torn tail line from a mid-write kill (or a corrupt
                     # one): drop it; the signature is simply re-checked once
                     continue
+                if type(violation) is not bool or type(campaign) is not str:
+                    continue        # corrupt too: "false" is not False
                 self._campaigns.setdefault(campaign, {})[signature] = \
                     DedupRecord(violation)
 

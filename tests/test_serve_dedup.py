@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro import obs
 from repro.instrument.signature import Signature
 from repro.serve.dedup import SignatureDedupStore, campaign_key
@@ -91,13 +93,20 @@ class TestJournal:
             assert again.observe("c", _sig(1)) is not None
             assert again.observe("c", _sig(2)) is None
 
-    def test_line_with_a_bad_word_skipped(self, tmp_path):
+    @pytest.mark.parametrize("line", [
+        '{"campaign": "c", "words": [[2.9]], "violation": true}',
+        '{"campaign": "c", "words": [[2]], "violation": "false"}',
+        '{"campaign": "c", "words": [[2]], "violation": 1}',
+        '{"campaign": "c", "words": [[2]], "violation": null}',
+        '{"campaign": ["c"], "words": [[2]], "violation": false}',
+    ], ids=["float-word", "string-verdict", "int-verdict", "null-verdict",
+            "list-campaign"])
+    def test_line_with_a_bad_word_skipped(self, tmp_path, line):
         path = tmp_path / "dedup.jsonl"
         with SignatureDedupStore(str(path)) as store:
             store.record("c", _sig(1), violation=False)
         with open(path, "a") as handle:
-            handle.write('{"campaign": "c", "words": [[2.9]], '
-                         '"violation": true}\n')
+            handle.write(line + "\n")
         with SignatureDedupStore(str(path)) as again:
             assert again.observe("c", _sig(1)) is not None
             assert again.observe("c", _sig(2)) is None
