@@ -86,10 +86,16 @@ def dump_program(program: TestProgram) -> dict:
 
 
 def load_program(doc: dict) -> TestProgram:
+    """Assemble a program document; a listing that is not assembler
+    text is a :class:`FormatError`, an unparsable one a ``ProgramError``."""
     try:
-        return assemble(doc["listing"], name=doc.get("name", ""))
+        listing = doc["listing"]
     except KeyError as exc:
         raise FormatError("program document missing %s" % exc) from None
+    if not isinstance(listing, str):
+        raise FormatError("program listing must be assembler text, got %r"
+                          % (listing,))
+    return assemble(listing, name=doc.get("name", ""))
 
 
 def _signature_to_list(signature: Signature) -> list:
@@ -111,6 +117,37 @@ def _signature_from_list(data) -> Signature:
     return Signature(words)
 
 
+def _ws_from_doc(data) -> dict:
+    """Type-check an entry's ``ws`` object; returns ``{address: chain}``.
+
+    Keys must be distinct decimal addresses (``"7"`` and ``"07"`` are
+    one address) and each chain a list of store uids, ``int`` >= 0
+    (``bool`` is not a uid).  The parsed lists are kept as
+    they are: converting a ``"7"`` or ``2.5`` would check a coherence
+    order the dump does not name.
+    """
+    if not isinstance(data, dict):
+        raise FormatError("bad ws: must be an object of address -> store "
+                          "uid list, got %r" % (data,))
+    ws = {}
+    for key, chain in data.items():
+        if not (key.isdecimal() and key.isascii()):
+            raise FormatError("bad ws address %r: must be a decimal address"
+                              % (key,))
+        if type(chain) is not list:
+            raise FormatError("bad ws chain for address %s: must be a list, "
+                              "got %r" % (key, chain))
+        for uid in chain:
+            if type(uid) is not int or uid < 0:
+                raise FormatError("bad ws chain for address %s: uid %r is "
+                                  "not an integer >= 0" % (key, uid))
+        ws[int(key)] = chain
+    if len(ws) != len(data):
+        raise FormatError("bad ws: an address is keyed twice in %s"
+                          % sorted(data))
+    return ws
+
+
 def signature_to_entry(signature: Signature, count: int = 1) -> dict:
     """One ``{"words", "count"}`` signature entry (the dump/serve unit)."""
     return {"words": _signature_to_list(signature), "count": int(count)}
@@ -119,8 +156,8 @@ def signature_to_entry(signature: Signature, count: int = 1) -> dict:
 def signature_from_entry(entry: dict) -> tuple:
     """Decode one signature entry; returns ``(signature, count)``.
 
-    Campaign dumps (and with them fleet and pool hand-offs) and serve
-    batches all decode their entries here.  ``count`` defaults to 1 and
+    Campaign dumps (and with them fleet hand-offs) and serve batches
+    all decode their entries here.  ``count`` defaults to 1 and
     must be an ``int`` >= 1 (``bool`` is not a count); anything else
     raises :class:`FormatError` instead of being truncated or kept.
     """
@@ -190,8 +227,9 @@ def load_campaign(text: str) -> CampaignResult:
     The returned result carries signature counts and (when the dump
     includes ws) representative executions whose ``rf`` is recovered by
     decoding each signature — Algorithm 1 on the host, as in the paper.
-    Entries decode through :func:`signature_from_entry`; a signature
-    listed twice is a :class:`FormatError`, not a silent overwrite.
+    Entries decode through :func:`signature_from_entry` and their ``ws``
+    through :func:`_ws_from_doc`; a signature listed twice is a
+    :class:`FormatError`, not a silent overwrite.
     The header is checked first: ``program`` must be an object and
     ``signatures`` a list, the register width one a
     :mod:`repro.sim.platform` preset uses, and each header count an
@@ -227,13 +265,8 @@ def load_campaign(text: str) -> CampaignResult:
             raise FormatError("campaign dump lists signature %s twice"
                               % (_signature_to_list(signature),))
         counts[signature] = count
-        rf = codec.decode(signature)
-        ws = {int(addr): [int(u) for u in chain]
-              for addr, chain in entry.get("ws", {}).items()} or None
-        if ws is not None:
-            result.representatives[signature] = Execution(rf, ws)
-        else:
-            result.representatives[signature] = Execution(rf, {})
+        result.representatives[signature] = Execution(
+            codec.decode(signature), _ws_from_doc(entry.get("ws", {})))
     result.signature_counts = counts
     return result
 

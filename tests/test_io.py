@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import io as repro_io
+from repro.errors import ProgramError
 from repro.harness import Campaign
 from repro.testgen import TestConfig
 
@@ -26,6 +27,15 @@ class TestProgramRoundTrip:
     def test_missing_listing_rejected(self):
         with pytest.raises(repro_io.FormatError):
             repro_io.load_program({"name": "x"})
+
+    @pytest.mark.parametrize("listing, error", [
+        (None, repro_io.FormatError), (5, repro_io.FormatError),
+        (["x"], repro_io.FormatError),
+        ("", ProgramError), ("zap", ProgramError),
+    ])
+    def test_bad_listing_is_a_typed_error(self, listing, error):
+        with pytest.raises(error):
+            repro_io.load_program({"name": "x", "listing": listing})
 
 
 class TestCampaignRoundTrip:
@@ -113,6 +123,23 @@ def test_bad_campaign_header_is_a_format_error(finished_campaign, field,
     else:
         doc[field] = value
     with pytest.raises(repro_io.FormatError, match=field):
+        repro_io.load_campaign(json.dumps(doc))
+
+
+@pytest.mark.parametrize("ws", [
+    {"0": None}, {"0": "x"}, {"0": {"a": 1}},
+    {"0": [None]}, {"0": ["7"]}, {"0": [2.5]}, {"0": [True]}, {"0": [-1]},
+    {"zz": []}, {"-1": []}, {"7": [], "07": []}, [[0]], None,
+], ids=["chain-null", "chain-str", "chain-object",
+        "uid-null", "uid-str", "uid-float", "uid-bool", "uid-negative",
+        "key-zz", "key-negative", "key-twice", "ws-list", "ws-null"])
+def test_bad_ws_is_a_format_error(finished_campaign, ws):
+    """Chains must be lists of int uids >= 0 under decimal address keys;
+    nothing is converted into some other coherence order."""
+    _, result = finished_campaign
+    doc = json.loads(repro_io.dump_campaign(result))
+    doc["signatures"][0]["ws"] = ws
+    with pytest.raises(repro_io.FormatError, match="ws"):
         repro_io.load_campaign(json.dumps(doc))
 
 
