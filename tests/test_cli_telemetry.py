@@ -198,4 +198,5 @@ class TestBenchCommands:
         (entry,) = [json.loads(line) for line
                     in history.read_text().splitlines()]
         assert entry["note"] == "test"
+        assert entry["snapshot"] == "snap.json"
         assert entry["digest"]["count_leaves"] == 1
