@@ -46,10 +46,6 @@ _LAZY = {
     "execute_task": "repro.fleet.worker",
     "run_worker_task": "repro.fleet.worker",
     "worker_main": "repro.fleet.worker",
-    "TcpWorkerPool": "repro.fleet.remote",
-    "remote_worker_main": "repro.fleet.remote",
-    "task_from_doc": "repro.fleet.remote",
-    "task_to_doc": "repro.fleet.remote",
     "FleetConfig": "repro.fleet.supervisor",
     "FleetSupervisor": "repro.fleet.supervisor",
     "ShardOutcome": "repro.fleet.supervisor",

@@ -23,11 +23,6 @@ the daemon exits 0 only after every live session's report is flushed
 Sessions are crash-isolated: an exception while checking one client's
 batch tears down that session (error frame, ``serve.session.error``
 event) and leaves the daemon and every other session running.
-
-With a worker pool attached (``--pool-port``), batches of at least
-``offload`` entries are checked on a remote worker via the
-``repro.fleet.remote`` check task instead of the daemon's executor —
-the daemon stays an ingest front-end while heavy traffic fans out.
 """
 
 from __future__ import annotations
@@ -62,8 +57,7 @@ class ServeConfig:
     Checking has no knob: a session checks novel signatures in arrival
     order, one step each of the delta walk that
     ``CollectiveChecker.check_deltas`` drains, and its drained report
-    always replays through ``check_deltas``; pool workers check
-    offloaded batches through the same delta pipeline.
+    always replays through ``check_deltas``.
     """
 
     host: str = "127.0.0.1"
@@ -80,10 +74,6 @@ class ServeConfig:
     report_out: str = None
     #: JSONL journal for the cross-client dedup store
     dedup_path: str = None
-    #: also listen for remote checking workers on this port (0 = pick)
-    pool_port: int = None
-    #: batches with at least this many entries check on the pool
-    offload: int = 512
 
 
 class ServeDaemon:
@@ -96,7 +86,6 @@ class ServeDaemon:
         self.progress = progress
         self.on_beat = on_beat
         self.reports: list = []
-        self.pool = None
         self._server = None
         self._session_seq = 0
         self._connections: set = set()
@@ -107,7 +96,7 @@ class ServeDaemon:
     # -- lifecycle ---------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind, listen, and (optionally) open the worker-pool port."""
+        """Bind and listen; write the port file when one is asked for."""
         self._drain_event = asyncio.Event()
         #: the serving loop; cross-thread callers drain via
         #: ``daemon.loop.call_soon_threadsafe(daemon.request_drain)``
@@ -115,11 +104,6 @@ class ServeDaemon:
         self._server = await asyncio.start_server(
             self._serve_client, self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        if self.config.pool_port is not None:
-            from repro.fleet.remote import TcpWorkerPool
-
-            self.pool = TcpWorkerPool(host=self.config.host,
-                                      port=self.config.pool_port)
         if self.config.port_file:
             with open(self.config.port_file, "w") as handle:
                 handle.write("%d\n" % self.port)
@@ -151,8 +135,6 @@ class ServeDaemon:
             await asyncio.gather(*list(self._connections),
                                  return_exceptions=True)
         self._snapshot_dedup(obs)
-        if self.pool is not None:
-            self.pool.close()
         self.dedup.close()
 
     def _snapshot_dedup(self, obs) -> None:
@@ -291,21 +273,11 @@ class ServeDaemon:
             self._beat(session)
 
     def _check_batch(self, session, message):
-        """One batch on an executor thread (local or pool-offloaded)."""
-        entries = message.get("signatures") or []
-        seq = message.get("seq", 0)
-        iterations = message.get("iterations")
-        crashes = message.get("crashes", 0)
-        if (self.pool is not None and len(entries) >= self.config.offload
-                and self.pool.live_workers):
-            digest = self.pool.check_remote(session.remote_dump(entries))
-            if digest is not None:
-                return session.ingest_checked(
-                    entries, digest["violations"], seq=seq,
-                    iterations=iterations, crashes=crashes)
-            # every pool worker died: fall through to the local path
-        return session.ingest(entries, seq=seq, iterations=iterations,
-                              crashes=crashes)
+        """One batch on an executor thread."""
+        return session.ingest(message.get("signatures") or [],
+                              seq=message.get("seq", 0),
+                              iterations=message.get("iterations"),
+                              crashes=message.get("crashes", 0))
 
     def _beat(self, session) -> None:
         if self.progress is None:

@@ -11,8 +11,7 @@ Each submitted batch is folded three ways:
 3. novel signatures run through the arrival-order
    :class:`~repro.checker.stream.StreamingCollectiveChecker` — one step
    each of the same delta walk ``CollectiveChecker.check_deltas`` drains
-   — and their verdicts are recorded back into the store (batches
-   offloaded to a worker pool bring their verdicts with them).
+   — and their verdicts are recorded back into the store.
 
 At drain, :meth:`CampaignSession.finalize` always replays the session's
 own unique-signature set, sorted, through ``check_deltas`` — so the
@@ -141,66 +140,13 @@ class CampaignSession:
                crashes: int = 0) -> BatchAck:
         """Fold one submitted batch into the session; returns its ack.
 
+        Every entry is decoded before anything is folded, so a malformed
+        batch raises :class:`~repro.io.FormatError` and changes nothing.
         Novel signatures are checked here, one
         :meth:`~repro.checker.stream.StreamingCollectiveChecker.feed`
         step each.  Thread-safe (the daemon runs batches on an
         executor); batches of one session are serialized by the lock,
         preserving submission order end-to-end.
-        """
-        feed = self.checker.feed
-        return self._fold(entries, lambda sig: feed(sig).violation,
-                          "serve.signatures_ingested", seq, iterations,
-                          crashes)
-
-    # -- pool offload ------------------------------------------------------------------
-
-    def remote_dump(self, entries: list) -> str:
-        """A standalone campaign dump of one batch, for a pool ``check``
-        task (signature-only: exactly what a device would ship)."""
-        from collections import Counter
-
-        from repro.io import dump_campaign
-        from repro.sim.execution import Execution
-
-        result = CampaignResult(self.result.program, self.codec)
-        counts = Counter()
-        for entry in entries:
-            signature, count = signature_from_entry(entry)
-            counts[signature] += count
-            result.representatives.setdefault(
-                signature, Execution(self.codec.decode(signature), {}))
-        result.signature_counts = counts
-        result.iterations = sum(counts.values())
-        return dump_campaign(result, include_ws=False)
-
-    def ingest_checked(self, entries: list, violating_words: list,
-                       seq: int = 0, iterations: int = None,
-                       crashes: int = 0) -> BatchAck:
-        """Fold a batch whose checking already happened on the pool.
-
-        ``violating_words`` is the remote verdict digest's violation
-        list (signature word lists); every signature in the batch gets a
-        dedup record from it, so later repeats — here or in any other
-        session — still cost O(1).
-        """
-        from repro.io import _signature_from_list
-
-        violating = {_signature_from_list(words)
-                     for words in violating_words}
-        return self._fold(entries, violating.__contains__,
-                          "serve.signatures_offloaded", seq, iterations,
-                          crashes)
-
-    def _fold(self, entries: list, novel_violation, counter: str, seq: int,
-              iterations: int, crashes: int) -> BatchAck:
-        """The one batch fold behind :meth:`ingest` and
-        :meth:`ingest_checked`.
-
-        Every entry is decoded before anything is folded, so a malformed
-        batch raises :class:`~repro.io.FormatError` and changes nothing.
-        ``novel_violation(signature)`` gives the verdict of a signature
-        the dedup store has not seen; ``counter`` names the obs counter
-        the batch's entry count lands in.
         """
         decoded = [signature_from_entry(entry) for entry in entries]
         ack = BatchAck(seq=seq)
@@ -216,7 +162,7 @@ class CampaignSession:
                     totals.dedup_hits += 1
                     violation = known.violation
                 else:
-                    violation = novel_violation(signature)
+                    violation = self.checker.feed(signature).violation
                     self.dedup.record(self.campaign, signature, violation)
                     ack.novel += 1
                 if violation:
@@ -229,7 +175,7 @@ class CampaignSession:
         obs.emit("serve.batch", session=self.session_id, seq=seq,
                  novel=ack.novel, repeats=ack.repeats,
                  violations=ack.violations)
-        obs.counter(counter).inc(len(entries))
+        obs.counter("serve.signatures_ingested").inc(len(entries))
         return ack
 
     # -- accounting --------------------------------------------------------------------

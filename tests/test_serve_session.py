@@ -3,7 +3,6 @@
 import pytest
 
 from repro import obs
-from repro.graph import GraphBuilder
 from repro.harness import Campaign, check_campaign_result
 from repro.io import FormatError, signature_to_entry
 from repro.mcm import SC
@@ -141,36 +140,3 @@ class TestFinalize:
         assert ack.violations == report.violations
         assert report.violations > 0, "seed produced no SC violations"
 
-
-class TestRemoteOffload:
-    def test_remote_dump_round_trips_through_batch_check(
-            self, campaign_result):
-        from repro.io import load_campaign
-
-        session = CampaignSession(1, campaign_result.program, 32,
-                                  SignatureDedupStore())
-        dump = session.remote_dump(_entries(campaign_result))
-        loaded = load_campaign(dump)
-        assert loaded.signature_counts == campaign_result.signature_counts
-        assert _batch_summary(loaded) == _batch_summary(campaign_result)
-
-    def test_ingest_checked_folds_remote_verdicts(self, campaign_result):
-        from repro.graph import topological_sort
-        from repro.io import _signature_to_list
-
-        builder = GraphBuilder(campaign_result.program, SC,
-                               ws_mode="static")
-        codec = campaign_result.codec
-        num_ops = campaign_result.program.num_ops
-        violating = []
-        for sig in campaign_result.signature_counts:
-            graph = builder.build(codec.decode(sig))
-            if topological_sort(range(num_ops), graph.adjacency) is None:
-                violating.append(_signature_to_list(sig))
-        session = CampaignSession(1, campaign_result.program, 32,
-                                  SignatureDedupStore(), model=SC)
-        ack = session.ingest_checked(_entries(campaign_result), violating,
-                                     seq=1)
-        assert ack.violations == len(violating)
-        report = session.finalize()
-        assert report.summary == _batch_summary(campaign_result, SC)
