@@ -18,8 +18,6 @@ legacy column; the deterministic work counts land in
 The paper reports an 81% average reduction (9.4%-44.9% of conventional).
 """
 
-import time
-
 from conftest import (FIG09_CONFIGS, FIG09_ITERS, FIG09_SEED, campaign_graphs,
                       obs_off, record_table, write_count_snapshot)
 from repro import obs
@@ -29,7 +27,6 @@ from repro.checker import (
     SignatureDeltaSource,
 )
 from repro.graph import GraphBuilder
-from repro.graph.toposort import topological_sort
 from repro.harness import CheckOutcome, format_table
 from repro.obs.bench import pinned_counts
 from repro.testgen import paper_config
@@ -126,73 +123,3 @@ def test_fig09_collective_checking_speedup(benchmark):
 
     checker = CollectiveChecker()
     benchmark(obs_off(checker.check_deltas), sample)
-
-
-def _membership_workload():
-    """Windowed re-sorts of one mid-campaign graph, as the checker issues
-    them: contiguous slices of a valid base order, sorted against the
-    full adjacency with positions as tie-breakers."""
-    campaign, result, graphs = campaign_graphs(
-        paper_config("ARM-2-100-32"), iterations=FIG09_ITERS, seed=FIG09_SEED)
-    graph = graphs[len(graphs) // 2]
-    n = graph.num_vertices
-    order = topological_sort(range(n), graph.adjacency)
-    position = [0] * n
-    for pos, v in enumerate(order):
-        position[v] = pos
-    size = max(8, n // 4)
-    windows = [order[start:start + size]
-               for start in range(0, n - size, max(1, size // 3))]
-    return graph.adjacency, windows, position, n
-
-
-def _time_windows(adjacency, windows, position, member_for, repeats=40):
-    start = time.perf_counter()
-    for _ in range(repeats):
-        for window in windows:
-            topological_sort(window, adjacency, key=position.__getitem__,
-                             membership=member_for(window))
-    return time.perf_counter() - start
-
-
-def test_fig09_membership_microbench(benchmark):
-    """Satellite measurement: precomputed membership vs per-call set()."""
-    adjacency, windows, position, n = _membership_workload()
-    flags = bytearray(n)
-
-    def reset(window):
-        for v in window:
-            flags[v] = 0
-
-    def flagged_run():
-        for window in windows:
-            for v in window:
-                flags[v] = 1
-            topological_sort(window, adjacency, key=position.__getitem__,
-                             membership=flags.__getitem__)
-            reset(window)
-
-    baseline_s = _time_windows(adjacency, windows, position, lambda w: None)
-    start = time.perf_counter()
-    for _ in range(40):
-        flagged_run()
-    flagged_s = time.perf_counter() - start
-    record_table("fig09_membership", format_table(
-        ["variant", "windows", "window size", "total ms"],
-        [["set(vertices) per sort", len(windows), len(windows[0]),
-          baseline_s * 1e3],
-         ["precomputed flags", len(windows), len(windows[0]),
-          flagged_s * 1e3]],
-        title="Figure 9 satellite: windowed re-sort membership test "
-              "(40 repeats over one ARM-2-100-32 graph)"))
-    # sanity: results stay identical either way
-    for window in windows:
-        for v in window:
-            flags[v] = 1
-        fast = topological_sort(window, adjacency, key=position.__getitem__,
-                                membership=flags.__getitem__)
-        reset(window)
-        assert fast == topological_sort(window, adjacency,
-                                        key=position.__getitem__)
-
-    benchmark(obs_off(flagged_run))

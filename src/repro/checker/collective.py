@@ -15,6 +15,15 @@ checker therefore:
    new backward edges.  If the window's induced subgraph cannot be
    topologically sorted, the execution violates the MCM.
 
+Both walks — :meth:`CollectiveChecker.check` over built graphs and
+:meth:`CollectiveChecker.delta_walk` over a delta stream — hand the
+backward edges their lead/trail scan finds to
+:func:`~repro.graph.toposort.resort_window`.  Every other edge of the
+window is forward under the old order, so the re-sort keeps the old
+order except around those edges' endpoints and the vertices they delay;
+its cost follows the backward edges and the vertices that move, not the
+window size.
+
 Correctness of the windowed re-sort: all added backward edges have both
 endpoints inside the window by construction; vertices outside the window
 keep their positions, and window vertices stay within the window's
@@ -27,11 +36,10 @@ graph, exactly when one exists.
 from __future__ import annotations
 
 from array import array
-from heapq import heapify, heappop, heappush
 from itertools import count
 
 from repro.graph.constraint_graph import ConstraintGraph
-from repro.graph.toposort import complete_sort, find_cycle
+from repro.graph.toposort import complete_sort, find_cycle, resort_window
 from repro.checker.results import (
     COMPLETE,
     INCREMENTAL,
@@ -82,7 +90,7 @@ class CollectiveChecker:
 
         order: list[int] | None = None       # topological order of the base graph
         position: list[int] = [0] * num_vertices
-        indegree = [0] * num_vertices        # complete/window sort scratch
+        indegree = [0] * num_vertices        # complete sort scratch
         base_edges: frozenset | None = None
 
         for index, graph in enumerate(graphs):
@@ -107,9 +115,11 @@ class CollectiveChecker:
             added = graph.edge_pairs - base_edges
             lead = num_vertices
             trail = -1
+            backs = []
             for u, v in added:
                 pu, pv = position[u], position[v]
                 if pu > pv:  # backward edge w.r.t. the current order
+                    backs.append((pu, pv))
                     if pv < lead:
                         lead = pv
                     if pu > trail:
@@ -121,21 +131,18 @@ class CollectiveChecker:
                 report.verdicts.append(Verdict(index, False, None, NO_RESORT, 0))
                 continue
 
-            window = order[lead:trail + 1]
-            report.sorted_vertices += len(window)
-            new_window = self._window_sort(window, graph.adjacency, order,
-                                           position, indegree, lead, trail)
-            if new_window is None:
-                cycle = tuple(find_cycle(window, graph.adjacency))
+            size = trail - lead + 1
+            report.sorted_vertices += size
+            if not resort_window(order, position, graph.adjacency, lead,
+                                 trail, backs):
+                cycle = tuple(find_cycle(order[lead:trail + 1],
+                                         graph.adjacency))
                 report.verdicts.append(
-                    Verdict(index, True, cycle, INCREMENTAL, len(window)))
+                    Verdict(index, True, cycle, INCREMENTAL, size))
                 continue  # keep the last valid base
-            order[lead:trail + 1] = new_window
-            for offset, v in enumerate(new_window):
-                position[v] = lead + offset
             base_edges = graph.edge_pairs
             report.verdicts.append(
-                Verdict(index, False, None, INCREMENTAL, len(window)))
+                Verdict(index, False, None, INCREMENTAL, size))
 
     # -- delta pipeline ---------------------------------------------------------
 
@@ -147,9 +154,10 @@ class CollectiveChecker:
         refcounted base state plus per-execution :class:`GraphDelta`
         records, and the checker maintains adjacency, topological order
         and ``array('i')`` position tables in place.  Per execution the
-        cost is O(changed digits + window), not O(vertices + edges):
-        full graphs are built only while no valid base order exists and
-        to extract violation witnesses.
+        cost is O(changed digits + backward edges + vertices the re-sort
+        defers or moves), not O(vertices + edges): full graphs are built
+        only while no valid base order exists and to extract violation
+        witnesses.
 
         Verdicts, cycle witnesses and ``sorted_vertices`` accounting are
         identical to running :meth:`check` over the fully built graph
@@ -245,11 +253,13 @@ class CollectiveChecker:
 
             lead = num_vertices
             trail = -1
+            backs = []
             for (u, v), change in pending.items():
                 if change < 0:
                     continue  # removed edges cannot create a cycle
                 pu, pv = position[u], position[v]
                 if pu > pv:  # backward edge w.r.t. the current order
+                    backs.append((pu, pv))
                     if pv < lead:
                         lead = pv
                     if pu > trail:
@@ -261,71 +271,21 @@ class CollectiveChecker:
                 yield Verdict(index, False, None, NO_RESORT, 0)
                 continue
 
-            window = order[lead:trail + 1]
-            report.sorted_vertices += len(window)
-            new_window = self._window_sort(window, state.adjacency, order,
-                                           position, indegree, lead, trail)
-            if new_window is None:
+            size = trail - lead + 1
+            report.sorted_vertices += size
+            if not resort_window(order, position, state.adjacency, lead,
+                                 trail, backs):
                 # Rare path: rebuild this one graph so the DFS walks the
                 # same adjacency order as the legacy checker and extracts
                 # the identical witness cycle.
                 in_window = lambda w: lead <= position[w] <= trail
-                cycle = tuple(find_cycle(window, source.full_graph(index).adjacency,
+                cycle = tuple(find_cycle(order[lead:trail + 1],
+                                         source.full_graph(index).adjacency,
                                          membership=in_window))
-                yield Verdict(index, True, cycle, INCREMENTAL, len(window))
+                yield Verdict(index, True, cycle, INCREMENTAL, size)
                 continue  # keep the last valid base order
-            order[lead:trail + 1] = new_window
-            for offset, v in enumerate(new_window):
-                position[v] = lead + offset
             pending.clear()
-            yield Verdict(index, False, None, INCREMENTAL, len(window))
-
-    @staticmethod
-    def _window_sort(window, adjacency, order, position, indegree, lead,
-                     trail):
-        """Windowed Kahn re-sort of both collective walks.
-
-        Equivalent to ``topological_sort(window, adjacency,
-        key=position.__getitem__)`` — window positions are unique, so
-        "pop the ready vertex with the smallest position" determines the
-        result no matter how it is implemented — but built around the
-        state :meth:`_check_all` and :meth:`delta_walk` already maintain.
-        The window is exactly the ``order[lead:trail + 1]`` slice, so
-        membership is the bounds check ``lead <= position[w] <= trail``
-        (``position`` is only rewritten after a successful re-sort): no
-        membership set or flag array to populate and tear down per sort.
-        The heap holds plain ``int`` positions (``order`` maps them back
-        to vertices) and in-degrees live in the walk's preallocated
-        scratch sequence — on success every entry has been decremented
-        back to zero, and on cycles the window's entries are re-zeroed
-        explicitly.
-
-        Returns the re-sorted window, or None when it contains a cycle.
-        """
-        empty = ()
-        for v in window:
-            for w in adjacency.get(v, empty):
-                if lead <= position[w] <= trail:
-                    indegree[w] += 1
-        heap = [position[v] for v in window if not indegree[v]]
-        heapify(heap)
-        result = []
-        append = result.append
-        while heap:
-            v = order[heappop(heap)]
-            append(v)
-            for w in adjacency.get(v, empty):
-                pw = position[w]
-                if lead <= pw <= trail:
-                    remaining = indegree[w] - 1
-                    indegree[w] = remaining
-                    if not remaining:
-                        heappush(heap, pw)
-        if len(result) != len(window):
-            for v in window:
-                indegree[v] = 0
-            return None
-        return result
+            yield Verdict(index, False, None, INCREMENTAL, size)
 
     @staticmethod
     def _record_delta_metrics(obs, report: CheckReport) -> None:

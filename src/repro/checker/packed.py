@@ -19,19 +19,13 @@ once per campaign into flat arrays:
 
 :class:`PackedChecker` then replays the tapes, in the same ascending
 signature order the delta pipeline checks (paper Section 3: sorted
-neighbours share most of their constraint graph), through an
-event-driven window re-sort (:func:`_event_resort`) that exploits a
-structural invariant of the delta stream: the base order is topological
-for the last valid graph, so *every* live backward edge inside a re-sort
-window is one of the pending added edges — and those are exactly what
-the lead/trail scan already enumerates.  The greedy min-position Kahn
-sort (equivalently, the lexicographically smallest topological order by
-old position) therefore emits almost every vertex in its old relative
-order; the only vertices needing individual work are backward-edge
-endpoints and the vertices their deferral cascades onto.  Everything
-between those events streams through as contiguous runs, so per-window
-Python cost is O(backward edges + deferred vertices × degree),
-independent of window size.  Verdicts, witnesses and
+neighbours share most of their constraint graph).  Windows are re-sorted
+by the collective checkers' own
+:func:`~repro.graph.toposort.resort_window`, which needs only the
+window's backward edges — the pending added edges the lead/trail scan
+already enumerates, since the base order is topological for the last
+valid graph — and a successor lookup, here a live-edge view of the CSR
+arrays (:class:`_LiveSuccessors`).  Verdicts, witnesses and
 ``sorted_vertices`` accounting are byte-identical to ``check_deltas`` /
 legacy ``check`` — the same summary dict, property-tested three ways.
 
@@ -53,7 +47,7 @@ from repro.checker.results import (
 )
 from repro.errors import CheckerError, SignatureError
 from repro.graph.delta import DeltaGraphState
-from repro.graph.toposort import complete_sort, find_cycle
+from repro.graph.toposort import complete_sort, find_cycle, resort_window
 from repro.obs import get_obs
 
 
@@ -370,15 +364,13 @@ class PackedChecker:
         num_vertices = plan.num_vertices
         vertices = range(num_vertices)
         esrc, edst = plan._esrc_list, plan._edst_list
-        csr_off = plan._csr_off_list
-        csr_eidx = plan._csr_eidx_list
-        csr_dst = plan._csr_dst_list
         rem_flat = plan._rem_flat_list
         add_flat = plan._add_flat_list
         rem_off, add_off = plan._rem_off_list, plan._add_off_list
 
         counts = plan._counts0_list.copy()
         live = bytearray(plan.live0)
+        successors = _LiveSuccessors(plan, live)
         position = [0] * num_vertices
         order = None
         have_order = False
@@ -390,7 +382,6 @@ class PackedChecker:
         backs_append = backs.append
         verdicts_append = report.verdicts.append
         sorted_vertices = 0
-        resort = _event_resort  # local alias: avoid global lookup per step
 
         for index in range(len(plan)):
             if index:
@@ -463,28 +454,15 @@ class PackedChecker:
 
             wsize = trail - lead + 1
             sorted_vertices += wsize
-            result = resort(wsize, backs, order, position, live,
-                            csr_off, csr_eidx, csr_dst, lead, trail)
-            if result is None:
-                window = order[lead:trail + 1]
+            if not resort_window(order, position, successors, lead, trail,
+                                 backs):
                 in_window = lambda w: lead <= position[w] <= trail
-                cycle = tuple(find_cycle(window,
+                cycle = tuple(find_cycle(order[lead:trail + 1],
                                          plan.full_graph(index).adjacency,
                                          membership=in_window))
                 verdicts_append(
                     Verdict(index, True, cycle, INCREMENTAL, wsize))
                 continue
-            # only [lo, hi] deviates from the old ascending order — the
-            # identity prefix/suffix keep both order and position
-            new_rel, lo, hi = result
-            base = lead + lo
-            window = order[base:lead + hi + 1]
-            pos = base
-            for p in new_rel[lo:hi + 1]:
-                v = window[p - lo]
-                order[pos] = v
-                position[v] = pos
-                pos += 1
             for e in touched:
                 pend[e] = 0
             del touched[:]
@@ -509,116 +487,24 @@ class PackedChecker:
                 window_hist.observe(verdict.resorted_vertices)
 
 
-def _event_resort(wsize, backs, order, position, live,
-                  csr_off, csr_eidx, csr_dst, lead, trail):
-    """Event-driven re-sort of one window, equal to min-position Kahn.
+class _LiveSuccessors:
+    """A replay's live edges in the ``adjacency.get`` shape.
 
-    The base order was topological for the last valid graph state, so
-    *every* live backward edge inside the window is one of the pending
-    added edges — exactly the ``backs`` list (window-relative
-    ``(src_pos, dst_pos)`` pairs with ``src_pos > dst_pos``).  The
-    minimum-position Kahn order (what the delta pipeline's heap pops)
-    then equals the old ascending order everywhere except around those
-    edges' endpoints, so instead of building the window subgraph we
-    simulate only the *events*: backward-edge endpoints, plus forward
-    successors of any vertex we had to defer.  Runs of unaffected
-    vertices between events are emitted wholesale with ``range``.
-
-    A scanned vertex with unemitted in-window predecessors is deferred
-    (its count lives in ``block``); emitting a vertex decrements its
-    backward targets (``by_src``) and, for deferred vertices, their
-    cached forward successors (``succs``).  Deferred vertices whose
-    count reaches zero flush immediately, lowest position first, which
-    is exactly the lex-min rule.  Leftover deferred vertices mean the
-    window subgraph is cyclic.
-
-    Returns ``(out, lo, hi)`` — the new window order as relative
-    positions plus the bounds of the span that actually moved (``out``
-    is the identity outside ``[lo, hi]``) — or None when the window is
-    cyclic.
+    :func:`~repro.graph.toposort.resort_window` reads successors through
+    ``adjacency.get(v, default)``; this view answers from the plan's CSR
+    arrays and the replay's liveness bytes, so only present edges come
+    back.  The re-sort asks only for deferred vertices.
     """
-    span = trail - lead
-    block = [0] * wsize
-    by_src: dict = {}
-    by_src_get = by_src.get
-    # pending event positions as a bitmask: pops walk ascending set bits
-    # and every new schedule lands beyond the current pop position, so
-    # the mask is a heap, a dedup set, and the iteration order at once
-    sched = 0
-    for pu, pv in backs:
-        pu -= lead
-        pv -= lead
-        block[pv] += 1
-        by_src.setdefault(pu, []).append(pv)
-        sched |= (1 << pv) | (1 << pu)
 
-    out: list = []
-    out_append = out.append
-    run_start = 0
-    deferred = 0
-    lo = -1
-    hi = -1
-    succs: dict = {}
-    while sched:
-        low = sched & -sched
-        sched ^= low
-        p = low.bit_length() - 1
-        if p > run_start:
-            out.extend(range(run_start, p))
-        run_start = p + 1
-        if block[p]:
-            # defer p: its forward in-window successors must now wait too
-            if lo < 0:
-                lo = p
-            v = order[lead + p]
-            fw: list = []
-            fw_append = fw.append
-            for j in range(csr_off[v], csr_off[v + 1]):
-                if live[csr_eidx[j]]:
-                    q = position[csr_dst[j]] - lead
-                    if p < q <= span:
-                        fw_append(q)
-                        block[q] += 1
-                        sched |= 1 << q
-            succs[p] = fw
-            deferred |= low
-            continue
-        out_append(p)
-        qs = by_src_get(p)
-        if qs is None:
-            continue
-        ready = 0
-        for q in qs:
-            r = block[q] - 1
-            block[q] = r
-            if not r and deferred & (1 << q):
-                ready |= 1 << q
-        if ready:
-            while ready:
-                low = ready & -ready
-                ready ^= low
-                d = low.bit_length() - 1
-                deferred ^= low
-                out_append(d)
-                for q in succs[d]:
-                    r = block[q] - 1
-                    block[q] = r
-                    if not r and deferred & (1 << q):
-                        ready |= 1 << q
-                qs = by_src_get(d)
-                if qs is not None:
-                    for q in qs:
-                        r = block[q] - 1
-                        block[q] = r
-                        if not r and deferred & (1 << q):
-                            ready |= 1 << q
-            if not deferred:
-                # back in sync: emission index equals relative position
-                # again, so nothing after this point moves unless a new
-                # deferral opens another out-of-order stretch
-                hi = len(out) - 1
-    if deferred:
-        return None  # cyclic window subgraph
-    if run_start < wsize:
-        out.extend(range(run_start, wsize))
-    return out, lo, hi
+    __slots__ = ("_off", "_eidx", "_dst", "_live")
+
+    def __init__(self, plan: PackedPlan, live: bytearray):
+        self._off = plan._csr_off_list
+        self._eidx = plan._csr_eidx_list
+        self._dst = plan._csr_dst_list
+        self._live = live
+
+    def get(self, v: int, default=()) -> list:
+        eidx, dst, live = self._eidx, self._dst, self._live
+        return [dst[j] for j in range(self._off[v], self._off[v + 1])
+                if live[eidx[j]]]

@@ -6,6 +6,7 @@ import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 from repro.graph import complete_sort, find_cycle, topological_sort
+from repro.graph.toposort import resort_window
 
 
 def is_topological(order, adjacency):
@@ -88,36 +89,17 @@ def random_digraph(draw):
 
 
 class TestPrecomputedMembership:
-    """The optional ``membership`` fast path must never change results."""
+    """``find_cycle``'s optional ``membership`` test must never change
+    results."""
 
     def member_fn(self, vertices, universe=128):
         # sized over the whole vertex universe, as the delta checker's
         # window flags are: membership must answer for any vertex the
-        # adjacency map can reach, not just the sorted subset
+        # adjacency map can reach, not just the searched subset
         flags = bytearray(universe)
         for v in vertices:
             flags[v] = 1
         return flags.__getitem__
-
-    def test_sort_matches_default_membership(self):
-        adj = {0: [1], 1: [99], 2: [3], 3: [2]}   # 99 external, 2-3 cyclic
-        window = [0, 1]
-        assert topological_sort(window, adj, membership=self.member_fn(window)) \
-            == topological_sort(window, adj)
-
-    def test_sort_detects_cycle_with_membership(self):
-        adj = {0: [1], 1: [0]}
-        window = [0, 1]
-        assert topological_sort(window, adj,
-                                membership=self.member_fn(window)) is None
-
-    def test_sort_key_composes_with_membership(self):
-        adj = {2: [1]}
-        window = [1, 2, 3]
-        order = topological_sort(window, adj, key=lambda v: v,
-                                 membership=self.member_fn(window))
-        assert order == topological_sort(window, adj, key=lambda v: v)
-        assert is_topological(order, adj)
 
     def test_find_cycle_matches_default_membership(self):
         adj = {0: [1], 1: [2, 3], 3: [1], 2: []}
@@ -134,12 +116,8 @@ class TestPrecomputedMembership:
     def test_property_membership_equivalence(self, case):
         n, adj = case
         member = self.member_fn(list(range(n)))
-        default = topological_sort(range(n), adj)
-        fast = topological_sort(range(n), adj, membership=member)
-        assert fast == default
-        if default is None:
-            assert find_cycle(range(n), adj, membership=member) == \
-                find_cycle(range(n), adj)
+        assert find_cycle(range(n), adj, membership=member) == \
+            find_cycle(range(n), adj)
 
 
 class TestAgainstNetworkx:
@@ -206,3 +184,123 @@ class TestCompleteSort:
                                  scratch, key) is None
             assert scratch == [0] * 5
         assert complete_sort({4: [3], 3: [0]}, 5, scratch) == [1, 2, 4, 3, 0]
+
+
+@st.composite
+def resort_case(draw):
+    """A DAG laid out in a topological ``order``, then backward edges
+    (under that order) added inside a window.
+
+    With ``deferring`` set, a forward chain runs from the window's first
+    position to its second-to-last and every backward edge leaves the
+    last position, which nothing in the window enters: the window stays
+    acyclic and every vertex but the last has to wait.
+    """
+    n = draw(st.integers(2, 30))
+    order = draw(st.permutations(range(n)))
+    lead = draw(st.integers(0, n - 2))
+    trail = draw(st.integers(lead + 1, n - 1))
+    deferring = draw(st.booleans())
+    adjacency = {}
+
+    def add(pu, pv):
+        successors = adjacency.setdefault(order[pu], [])
+        if order[pv] not in successors:
+            successors.append(order[pv])
+
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)),
+                              max_size=3 * n)):
+        a, b = min(a, b), max(a, b)
+        if a != b and not (deferring and b == trail):
+            add(a, b)
+    backs = [(trail, lead)]
+    if deferring:
+        for p in range(lead, trail - 1):
+            add(p, p + 1)
+        backs += [(trail, pv) for pv in draw(st.lists(
+            st.integers(lead, trail - 1), max_size=4))]
+    else:
+        for a, b in draw(st.lists(st.tuples(st.integers(lead, trail),
+                                            st.integers(lead, trail)),
+                                  max_size=6)):
+            if a != b:
+                backs.append((max(a, b), min(a, b)))
+    for pu, pv in backs:
+        add(pu, pv)
+    # the packed replay can list one pending edge more than once
+    backs += backs[:draw(st.integers(0, 2))]
+    rng = draw(st.randoms(use_true_random=False))
+    for successors in adjacency.values():
+        rng.shuffle(successors)
+    return order, adjacency, lead, trail, backs, deferring
+
+
+class TestResortWindow:
+    """``resort_window`` must equal the min-position Kahn re-sort of its
+    window, and leave ``order`` and ``position`` alone on a cycle."""
+
+    @given(resort_case(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_min_position_kahn(self, case, as_array):
+        order, adjacency, lead, trail, backs, deferring = case
+        position = [0] * len(order)
+        for pos, v in enumerate(order):
+            position[v] = pos
+        window = order[lead:trail + 1]
+        expected = topological_sort(window, adjacency,
+                                    key=position.__getitem__)
+        new_order = list(order)
+        new_position = array("i", position) if as_array else list(position)
+        sorted_ok = resort_window(new_order, new_position, adjacency, lead,
+                                  trail, backs)
+        if expected is None:
+            assert not sorted_ok
+            assert new_order == order
+            assert list(new_position) == position
+            cycle = find_cycle(window, adjacency)
+            assert cycle is not None
+            for u, v in zip(cycle, cycle[1:]):
+                assert v in adjacency[u]
+            return
+        assert sorted_ok
+        assert new_order[lead:trail + 1] == expected
+        assert new_order[:lead] == order[:lead]
+        assert new_order[trail + 1:] == order[trail + 1:]
+        assert [new_position[v] for v in new_order] == list(range(len(order)))
+        assert is_topological(new_order, adjacency)
+        if deferring:
+            # everything before the last vertex waited for it
+            assert new_order[lead] == order[trail]
+
+    def test_positions_between_stretches_stay(self):
+        # new edges 2 -> 1 and 5 -> 4 swap 1-2 and 4-5; 3, a successor
+        # of 1 that is released before the scan reaches it, stays put
+        order = list(range(7))
+        position = list(range(7))
+        adjacency = {1: [3], 2: [1], 5: [4]}
+        assert resort_window(order, position, adjacency, 1, 5,
+                             [(2, 1), (5, 4)])
+        assert order == [0, 2, 1, 3, 5, 4, 6]
+        assert position == [0, 2, 1, 3, 5, 4, 6]
+
+    def test_released_vertex_counts_down_the_last_position(self):
+        # 0 waits for 2 and 1 for 3; once 2 is out, 0 follows and must
+        # release its forward successor 3, the window's last vertex
+        order = [0, 1, 2, 3]
+        position = list(range(4))
+        adjacency = {0: [3], 2: [0], 3: [1]}
+        assert resort_window(order, position, adjacency, 0, 3,
+                             [(2, 0), (3, 1)])
+        assert order == [2, 0, 3, 1]
+        assert order == topological_sort([0, 1, 2, 3], adjacency,
+                                         key=[0, 1, 2, 3].__getitem__)
+
+    def test_cycle_leaves_order_and_position(self):
+        order = [0, 1, 2, 3]
+        position = array("i", range(4))
+        adjacency = {0: [1], 1: [2], 2: [3], 3: [1]}
+        assert not resort_window(order, position, adjacency, 1, 3, [(3, 1)])
+        assert order == [0, 1, 2, 3]
+        assert list(position) == [0, 1, 2, 3]
+
