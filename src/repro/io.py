@@ -87,7 +87,9 @@ def dump_program(program: TestProgram) -> dict:
 
 def load_program(doc: dict) -> TestProgram:
     """Assemble a program document; a listing that is not assembler
-    text is a :class:`FormatError`, an unparsable one a ``ProgramError``."""
+    text, or a name that is not a string, is a :class:`FormatError`, an
+    unparsable listing a ``ProgramError``.  An absent name reads as
+    ``""``."""
     try:
         listing = doc["listing"]
     except KeyError as exc:
@@ -95,7 +97,10 @@ def load_program(doc: dict) -> TestProgram:
     if not isinstance(listing, str):
         raise FormatError("program listing must be assembler text, got %r"
                           % (listing,))
-    return assemble(listing, name=doc.get("name", ""))
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise FormatError("program name must be a string, got %r" % (name,))
+    return assemble(listing, name=name)
 
 
 def _signature_to_list(signature: Signature) -> list:

@@ -97,6 +97,19 @@ class TestRunAndCheck:
         assert main(["check", str(dump)]) == 2
         assert "listing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", [[1], {"a": 1}, 5, None])
+    def test_check_rejects_a_program_name_that_is_not_text(self, capsys,
+                                                           tmp_path, name):
+        dump = tmp_path / "d.json"
+        main(["run", "--threads", "2", "--ops", "10", "--addresses", "4",
+              "--iterations", "20", "-o", str(dump)])
+        data = json.loads(dump.read_text())
+        data["program"]["name"] = name
+        dump.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["check", str(dump)]) == 2
+        assert "program name" in capsys.readouterr().err
+
     def test_run_with_os_flag(self, capsys):
         assert main(["run", "--threads", "2", "--ops", "10", "--addresses", "4",
                      "--iterations", "40", "--os"]) == 0

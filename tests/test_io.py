@@ -37,6 +37,18 @@ class TestProgramRoundTrip:
         with pytest.raises(error):
             repro_io.load_program({"name": "x", "listing": listing})
 
+    @pytest.mark.parametrize("name", [[1], {"a": 1}, 5, None, True])
+    def test_name_that_is_not_a_string_is_a_format_error(self, small_program,
+                                                          name):
+        doc = dict(repro_io.dump_program(small_program), name=name)
+        with pytest.raises(repro_io.FormatError, match="name"):
+            repro_io.load_program(doc)
+
+    def test_absent_name_reads_as_empty(self, small_program):
+        doc = repro_io.dump_program(small_program)
+        del doc["name"]
+        assert repro_io.load_program(doc).name == ""
+
 
 class TestCampaignRoundTrip:
     def test_signature_counts_preserved(self, finished_campaign):
