@@ -35,7 +35,6 @@ graph, exactly when one exists.
 
 from __future__ import annotations
 
-from array import array
 from itertools import count
 
 from repro.graph.constraint_graph import ConstraintGraph
@@ -56,19 +55,10 @@ class CollectiveChecker:
     The caller is responsible for ordering ``graphs`` by ascending
     execution signature (see :meth:`repro.harness.Campaign.check`); the
     algorithm is correct for any order but derives its speed from
-    signature-adjacent graphs being similar.
-
-    Args:
-        initial_key: tie-breaking priority for the first complete sort.
-            A key that anticipates the common shape of subsequent graphs
-            (e.g. interleaving threads by operation index) makes far more
-            of them pass with no re-sorting.  Window re-sorts always
-            break ties by the previous order (stable re-sorting), so the
-            base order drifts as little as possible.
+    signature-adjacent graphs being similar.  Complete sorts break ties
+    FIFO; window re-sorts break them by the previous order (stable
+    re-sorting), so the base order drifts as little as possible.
     """
-
-    def __init__(self, initial_key=None):
-        self.initial_key = initial_key
 
     def check(self, graphs: list[ConstraintGraph]) -> CheckReport:
         report = CheckReport()
@@ -97,7 +87,7 @@ class CollectiveChecker:
             if order is None:
                 # First graph (or: no valid base yet) — complete check.
                 candidate = complete_sort(graph.adjacency, num_vertices,
-                                          indegree, self.initial_key)
+                                          indegree)
                 report.sorted_vertices += num_vertices
                 if candidate is None:
                     cycle = tuple(find_cycle(vertices, graph.adjacency))
@@ -153,7 +143,7 @@ class CollectiveChecker:
         :class:`~repro.checker.delta.SignatureDeltaSource`) yields one
         refcounted base state plus per-execution :class:`GraphDelta`
         records, and the checker maintains adjacency, topological order
-        and ``array('i')`` position tables in place.  Per execution the
+        and a position table in place.  Per execution the
         cost is O(changed digits + backward edges + vertices the re-sort
         defers or moves), not O(vertices + edges): full graphs are built
         only while no valid base order exists and to extract violation
@@ -198,8 +188,8 @@ class CollectiveChecker:
         vertices = range(num_vertices)
 
         order: list[int] | None = None       # topological order of the base graph
-        position = array("i", [0] * num_vertices)
-        indegree = array("i", [0] * num_vertices)
+        position = [0] * num_vertices
+        indegree = [0] * num_vertices        # complete sort scratch
         # one live graph state for the whole stream: seeded from the
         # first execution, advanced by every delta (valid or not)
         state = source.base_state(0)
@@ -237,8 +227,7 @@ class CollectiveChecker:
                 # every tie-break identical to the legacy pipeline.
                 adjacency = (state.adjacency if index == 0
                              else source.full_graph(index).adjacency)
-                candidate = complete_sort(adjacency, num_vertices, indegree,
-                                          self.initial_key)
+                candidate = complete_sort(adjacency, num_vertices, indegree)
                 report.sorted_vertices += num_vertices
                 if candidate is None:
                     cycle = tuple(find_cycle(vertices, adjacency))

@@ -282,8 +282,7 @@ class PackedPlan:
             self.num_vertices,
             list(self.builder.iter_execution_pairs(rf0))).adjacency
         # the index-0 complete sort is a pure function of the plan (FIFO
-        # Kahn, no tie-break key), so compile it once here; checkers with
-        # a custom initial_key re-sort live
+        # Kahn), so compile it once here
         scratch = array("i", bytes(4 * self.num_vertices))
         self.base_order = complete_sort(self.initial_adjacency,
                                         self.num_vertices, scratch)
@@ -333,12 +332,8 @@ class PackedChecker:
 
     Reproduces :meth:`CollectiveChecker.check_deltas` verdict for
     verdict — same methods, witnesses and ``sorted_vertices`` — from the
-    plan's flat arrays.  ``initial_key`` matches the delta/legacy
-    checkers' (streaming) first-sort tie-break hook.
+    plan's flat arrays.
     """
-
-    def __init__(self, initial_key=None):
-        self.initial_key = initial_key
 
     def check(self, plan: PackedPlan) -> CheckReport:
         report = CheckReport()
@@ -406,15 +401,14 @@ class PackedChecker:
 
             if not have_order:
                 sorted_vertices += num_vertices
-                if index == 0 and self.initial_key is None:
+                if index == 0:
                     # compiled with the plan (same FIFO sort, same input)
                     candidate = plan.base_order
                     adjacency = plan.initial_adjacency
                 else:
-                    adjacency = (plan.initial_adjacency if index == 0
-                                 else plan.full_graph(index).adjacency)
+                    adjacency = plan.full_graph(index).adjacency
                     candidate = complete_sort(adjacency, num_vertices,
-                                              indegree, self.initial_key)
+                                              indegree)
                 if candidate is None:
                     cycle = tuple(find_cycle(vertices, adjacency))
                     verdicts_append(

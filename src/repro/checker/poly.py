@@ -248,13 +248,7 @@ class PolyChecker:
     four-way differential contract), while the methods/sorted-vertices
     accounting stays at its family-neutral floor: every verdict
     ``complete``, nothing resorted, ``sorted_vertices == 0``.
-
-    ``initial_key`` is accepted for pipeline-interface parity and
-    ignored: there is no sort whose tie-break it could steer.
     """
-
-    def __init__(self, initial_key=None):
-        self.initial_key = initial_key
 
     def check(self, source: PolySignatureSource) -> CheckReport:
         report = CheckReport()

@@ -63,15 +63,11 @@ class StreamingCollectiveChecker:
     Args:
         codec: the campaign's instrumentation codec.
         builder: a ``ws_mode="static"`` graph builder for the same test.
-        initial_key: tie-breaking priority for complete sorts, as in
-            :class:`~repro.checker.collective.CollectiveChecker`.
     """
 
-    def __init__(self, codec: SignatureCodec, builder: GraphBuilder,
-                 initial_key=None):
+    def __init__(self, codec: SignatureCodec, builder: GraphBuilder):
         self.codec = codec
         self.builder = builder
-        self.initial_key = initial_key
         self.signatures: list = []
         # the source reads this list, so every fed signature extends it
         # (its constructor also rejects observed-ws or mismatched builders)
@@ -80,8 +76,7 @@ class StreamingCollectiveChecker:
         #: order-independent; method statistics are not)
         self.report = CheckReport()
         self.report.num_vertices_per_graph = source.num_vertices
-        self._walk = CollectiveChecker(initial_key).delta_walk(source,
-                                                               self.report)
+        self._walk = CollectiveChecker().delta_walk(source, self.report)
 
     def __len__(self) -> int:
         return len(self.signatures)
@@ -115,4 +110,4 @@ class StreamingCollectiveChecker:
         pool = self.signatures if signatures is None else signatures
         source = SignatureDeltaSource(self.codec, self.builder,
                                       sorted(set(pool)))
-        return CollectiveChecker(self.initial_key).check_deltas(source)
+        return CollectiveChecker().check_deltas(source)

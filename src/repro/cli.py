@@ -79,6 +79,7 @@ from repro.instrument import SignatureCodec, code_size, emit_listing, intrusiven
 from repro.isa.assembler import assemble, disassemble
 from repro.mcm import get_model
 from repro.sim import OperationalExecutor, model_for_register_width
+from repro.sim.faults import Bug, FaultConfig
 from repro.testgen import TestConfig, generate
 from repro.testgen.litmus import all_litmus_tests, extended_litmus_tests
 
@@ -201,6 +202,10 @@ def _cmd_run(args) -> int:
     if args.os and (args.detailed or args.bug):
         raise ValueError("the detailed MESI simulator has no OS model; "
                          "--os cannot be combined with --detailed/--bug")
+    faults = None
+    if args.detailed or args.bug:
+        faults = FaultConfig(bug=Bug(args.bug) if args.bug else None,
+                             l1_lines=args.l1_lines)
     # enable before the Campaign is built so the generate/instrument
     # phases land in the span tree
     handle = repro_obs.enable() if _metrics_wanted(args) else None
@@ -213,9 +218,8 @@ def _cmd_run(args) -> int:
         on_beat = _progress_renderer() if args.progress else None
         result = run_campaign_fleet(
             config=config, iterations=args.iterations, jobs=args.jobs,
-            seed=args.run_seed, block=args.block, os_model=bool(args.os),
-            detailed=bool(args.detailed or args.bug), bug=args.bug,
-            l1_lines=args.l1_lines, lint=args.lint, mutation=args.mutation,
+            seed=args.run_seed, block=args.block, os_model=args.os,
+            faults=faults, lint=args.lint, mutation=args.mutation,
             on_beat=on_beat)
         if on_beat is not None:
             sys.stderr.write("\n")
@@ -223,20 +227,9 @@ def _cmd_run(args) -> int:
         checker = lambda: check_campaign_result(result,
                                                 pipeline=args.pipeline)
     else:
-        extra = {}
-        if args.detailed or args.bug:
-            from repro.sim.detailed import DetailedExecutor
-            from repro.sim.faults import Bug, FaultConfig
-            from repro.sim.platform import GEM5_X86_8CORE
-
-            faults = FaultConfig(bug=Bug(args.bug) if args.bug else None,
-                                 l1_lines=args.l1_lines)
-            extra["platform"] = GEM5_X86_8CORE
-            extra["executor_cls"] = (
-                lambda *a, **kw: DetailedExecutor(*a, faults=faults, **kw))
         campaign = Campaign(config=config, seed=args.run_seed,
-                            os_model=args.os or None,
-                            mutation=args.mutation, **extra)
+                            os_model=args.os, faults=faults,
+                            mutation=args.mutation)
         result = campaign.run(args.iterations, block=args.block,
                               lint=args.lint)
         model = campaign.model
@@ -319,7 +312,7 @@ def _cmd_suite(args) -> int:
     config = _config_from(args)
     handle = repro_obs.enable() if _metrics_wanted(args) else None
     runner = SuiteRunner(config, tests=args.tests, iterations=args.iterations,
-                         jobs=args.jobs, os_model=args.os or None,
+                         jobs=args.jobs, os_model=args.os,
                          lint=args.lint, pipeline=args.pipeline)
     stats = runner.run(seed=args.run_seed)
     rows = [

@@ -28,6 +28,7 @@ from repro.instrument.signature import SignatureCodec
 from repro.io import dump_program, load_campaign
 from repro.lint.engine import gate_iterations, lint_program, record_gate
 from repro.obs import get_obs
+from repro.sim.faults import FaultConfig
 from repro.testgen.generator import generate
 
 
@@ -35,8 +36,7 @@ def plan_campaign_tasks(program, config, iterations: int, jobs: int, *,
                         seed: int = 0, block: int = None,
                         instrumentation: str = "signature",
                         os_model: bool = False, sync_barriers: bool = False,
-                        detailed: bool = False, bug: int = None,
-                        l1_lines: int = 4, die_on_crash: bool = False,
+                        faults: FaultConfig = None, die_on_crash: bool = False,
                         collect_metrics: bool = False,
                         include_ws: bool = True,
                         mutation: str = None) -> list[WorkerTask]:
@@ -51,11 +51,10 @@ def plan_campaign_tasks(program, config, iterations: int, jobs: int, *,
     """
     shard_task = WorkerTask(
         program_doc=dump_program(program), blocks=(), seed=seed,
-        config=config, isa=config.isa if config is not None else "arm",
-        instrumentation=instrumentation, os_model=os_model,
-        sync_barriers=sync_barriers, detailed=detailed, bug=bug,
-        l1_lines=l1_lines, mutation=mutation, die_on_crash=die_on_crash,
-        collect_metrics=collect_metrics, include_ws=include_ws)
+        config=config, instrumentation=instrumentation, os_model=os_model,
+        sync_barriers=sync_barriers, faults=faults, mutation=mutation,
+        die_on_crash=die_on_crash, collect_metrics=collect_metrics,
+        include_ws=include_ws)
     task_campaign(shard_task)
     shards = partition_blocks(plan_blocks(iterations, block), jobs)
     return [dataclasses.replace(shard_task, blocks=shard) for shard in shards]
@@ -65,8 +64,7 @@ def run_campaign_fleet(config=None, program=None, *, iterations: int,
                        jobs: int, seed: int = 0, block: int = None,
                        instrumentation: str = "signature",
                        os_model: bool = False, sync_barriers: bool = False,
-                       detailed: bool = False, bug: int = None,
-                       l1_lines: int = 4, die_on_crash: bool = False,
+                       faults: FaultConfig = None, die_on_crash: bool = False,
                        include_ws: bool = True, lint: str = None,
                        mutation: str = None,
                        fleet: FleetConfig = None,
@@ -91,7 +89,10 @@ def run_campaign_fleet(config=None, program=None, *, iterations: int,
         fleet: supervision knobs; ``jobs`` here overrides its field.
         on_beat: ``callable(ProgressSnapshot)`` invoked on every worker
             heartbeat and shard completion (``repro run --progress``).
-        (remaining knobs mirror the CLI ``run`` command.)
+        (``instrumentation``, ``os_model``, ``sync_barriers``,
+        ``faults`` and ``mutation`` are :class:`~repro.harness.Campaign`'s
+        knobs, ``die_on_crash`` and ``include_ws`` the
+        :class:`~repro.fleet.worker.WorkerTask`'s.)
     """
     if jobs < 1:
         raise ValueError("jobs must be positive; got %r" % (jobs,))
@@ -118,9 +119,9 @@ def run_campaign_fleet(config=None, program=None, *, iterations: int,
     tasks = plan_campaign_tasks(
         program, config, iterations, jobs, seed=seed, block=block,
         instrumentation=instrumentation, os_model=os_model,
-        sync_barriers=sync_barriers, detailed=detailed, bug=bug,
-        l1_lines=l1_lines, mutation=mutation, die_on_crash=die_on_crash,
-        collect_metrics=obs.enabled, include_ws=include_ws)
+        sync_barriers=sync_barriers, faults=faults, mutation=mutation,
+        die_on_crash=die_on_crash, collect_metrics=obs.enabled,
+        include_ws=include_ws)
     base = FleetConfig() if fleet is None else fleet
     progress = (FleetProgress()
                 if obs.enabled or on_beat is not None else None)

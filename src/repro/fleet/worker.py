@@ -2,8 +2,9 @@
 
 A :class:`WorkerTask` is a pure-data description of a shard — the test
 program as assembler text (the :mod:`repro.io` program document), the
-seed-block assignment, and the campaign knobs — so it pickles under any
-``multiprocessing`` start method.  The worker rebuilds the campaign,
+seed-block assignment, and the campaign knobs (``faults``, ``mutation``,
+``os_model``, ...) — so it pickles under any ``multiprocessing`` start
+method.  The worker rebuilds the campaign from those knobs,
 runs exactly its blocks, and returns the signature multiset serialized
 through :func:`repro.io.dump_campaign`: the same JSON hand-off a device
 under validation would ship to the host (paper Section 1).
@@ -23,6 +24,7 @@ import time
 from dataclasses import dataclass
 
 from repro.fleet.progress import HEARTBEAT_MIN_INTERVAL_S
+from repro.sim.faults import FaultConfig
 from repro.testgen.config import TestConfig
 
 #: exit status of a worker that died emulating a device crash (bug 3)
@@ -45,19 +47,15 @@ class WorkerTask:
     blocks: tuple
     #: campaign base seed; per-block seeds derive from it
     seed: int = 0
-    #: test configuration (layout / register width); optional
+    #: test configuration (ISA, layout / register width); optional
     config: TestConfig = None
-    #: ISA fallback when no config is given
-    isa: str = "arm"
     instrumentation: str = "signature"
     #: True enables the Linux-perturbation OS model
     os_model: bool = False
     sync_barriers: bool = False
-    #: use the detailed MESI simulator (x86 only)
-    detailed: bool = False
-    #: paper Section-7 bug number to inject (implies ``detailed``)
-    bug: int = None
-    l1_lines: int = 4
+    #: the detailed MESI simulator's bug and L1 size (x86 only); None
+    #: runs the operational executor, as in :class:`Campaign`
+    faults: FaultConfig = None
     #: registered :mod:`repro.mutate` mutation name to inject (workers
     #: rebuild the fault plane / detailed fault config from the registry)
     mutation: str = None
@@ -87,35 +85,12 @@ def task_campaign(task: WorkerTask):
     # sharding module of this package)
     from repro.harness.runner import Campaign
     from repro.io import load_program
-    from repro.sim.platform import GEM5_X86_8CORE, platform_for_isa
 
-    program = load_program(task.program_doc)
-    extra = {}
-    if task.mutation:
-        from repro.mutate.registry import get_mutation
-
-        mutation = get_mutation(task.mutation)
-        extra["mutation"] = mutation
-        if mutation.executor == "operational":
-            extra["platform"] = platform_for_isa(
-                task.config.isa if task.config else task.isa)
-    elif task.detailed or task.bug:
-        from repro.sim.detailed import DetailedExecutor
-        from repro.sim.faults import Bug, FaultConfig
-
-        faults = FaultConfig(bug=Bug(task.bug) if task.bug else None,
-                             l1_lines=task.l1_lines)
-        extra["platform"] = GEM5_X86_8CORE
-        extra["executor_cls"] = (
-            lambda *a, **kw: DetailedExecutor(*a, faults=faults, **kw))
-    else:
-        extra["platform"] = platform_for_isa(
-            task.config.isa if task.config else task.isa)
-    return Campaign(program=program, config=task.config,
-                    instrumentation=task.instrumentation,
-                    os_model=True if task.os_model else None,
-                    seed=task.seed, sync_barriers=task.sync_barriers,
-                    **extra)
+    return Campaign(program=load_program(task.program_doc),
+                    config=task.config, instrumentation=task.instrumentation,
+                    os_model=task.os_model, seed=task.seed,
+                    faults=task.faults, sync_barriers=task.sync_barriers,
+                    mutation=task.mutation)
 
 
 def execute_task(task: WorkerTask, progress=None):

@@ -24,18 +24,16 @@ from typing import Callable, Iterable, Mapping, MutableSequence, Sequence
 
 
 def complete_sort(adjacency: Mapping[int, Sequence[int]], num_vertices: int,
-                  indegree: MutableSequence[int],
-                  key: Callable[[int], object] = None) -> list[int] | None:
+                  indegree: MutableSequence[int]) -> list[int] | None:
     """Topologically sort all of ``range(num_vertices)``.
 
-    Returns exactly ``topological_sort(range(num_vertices), adjacency,
-    key=key)``, tie for tie: FIFO ties without a key, the same
-    ``(key(v), v)`` heap with one.  Every vertex is a member, so there is
-    no membership test, and in-degrees are counted into ``indegree``, a
+    Returns exactly ``topological_sort(range(num_vertices), adjacency)``,
+    FIFO tie for tie.  Every vertex is a member, so there is no
+    membership test, and in-degrees are counted into ``indegree``, a
     caller-owned scratch sequence of ``num_vertices`` zeros that is all
     zero again on return (whether or not the graph is acyclic), so one
-    scratch serves a whole stream of graphs.  Without a key the output
-    list doubles as the FIFO queue.
+    scratch serves a whole stream of graphs.  The output list doubles as
+    the FIFO queue.
 
     Returns the order, or None when the graph is cyclic.
     """
@@ -44,29 +42,14 @@ def complete_sort(adjacency: Mapping[int, Sequence[int]], num_vertices: int,
             indegree[w] += 1
     empty = ()
     vertices = range(num_vertices)
-    if key is None:
-        order = [v for v in vertices if not indegree[v]]
-        append = order.append
-        for v in order:  # appended-to while iterated: a FIFO queue
-            for w in adjacency.get(v, empty):
-                remaining = indegree[w] - 1
-                indegree[w] = remaining
-                if not remaining:
-                    append(w)
-    else:
-        order = []
-        append = order.append
-        heap = [(key(v), v) for v in vertices if not indegree[v]]
-        heapq.heapify(heap)
-        heappop, heappush = heapq.heappop, heapq.heappush
-        while heap:
-            v = heappop(heap)[1]
-            append(v)
-            for w in adjacency.get(v, empty):
-                remaining = indegree[w] - 1
-                indegree[w] = remaining
-                if not remaining:
-                    heappush(heap, (key(w), w))
+    order = [v for v in vertices if not indegree[v]]
+    append = order.append
+    for v in order:  # appended-to while iterated: a FIFO queue
+        for w in adjacency.get(v, empty):
+            remaining = indegree[w] - 1
+            indegree[w] = remaining
+            if not remaining:
+                append(w)
     if len(order) == num_vertices:
         return order  # every in-degree was counted back down to zero
     for v in vertices:
@@ -85,9 +68,8 @@ def topological_sort(vertices: Sequence[int],
 
     Args:
         key: optional tie-breaking priority — among simultaneously ready
-            vertices, lower keys are emitted first.  The collective
-            checker uses this to seed orders that stay valid across
-            signature-adjacent graphs (fewer re-sorts).  Without a key,
+            vertices, lower keys are emitted first; with position keys
+            this is :func:`resort_window`'s reference.  Without a key,
             ties break in FIFO order over the (deterministic) input order.
     """
     vset = set(vertices)

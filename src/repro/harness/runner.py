@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import ReproError, SignatureError
 from repro.fleet.sharding import derive_os_seed, derive_seed, plan_blocks
@@ -42,14 +43,19 @@ from repro.lint.findings import LintReport
 from repro.mcm.model import MemoryModel
 from repro.obs import get_obs
 from repro.sim.executor import OperationalExecutor
+from repro.sim.faults import FaultConfig
 from repro.sim.os_model import OSModel
 from repro.sim.platform import (
+    GEM5_X86_8CORE,
     Platform,
     model_for_register_width,
     platform_for_isa,
 )
 from repro.testgen.config import TestConfig
 from repro.testgen.generator import generate
+
+if TYPE_CHECKING:  # imported lazily, by a detailed campaign only
+    from repro.sim.detailed import DetailedExecutor
 
 
 @dataclass
@@ -136,22 +142,32 @@ class Campaign:
         model: memory model override (defaults to the platform's).
         instrumentation: "signature" (MTraceCheck), "flush" (baseline
             [24]) or None (bare test).
-        os_model: pass True for the Linux-perturbation variant, or an
-            :class:`OSModel` instance for custom interference.
+        os_model: True for the Linux-perturbation variant (a seeded
+            :class:`OSModel`, reseeded with every seed block).
         seed: executor RNG seed.
+        faults: ``None`` (default) runs the operational executor; a
+            :class:`repro.sim.faults.FaultConfig` runs the detailed MESI
+            simulator (the paper's Section-7 gem5 system, x86 only) with
+            that bug and L1 size, on ``GEM5_X86_8CORE`` unless
+            ``platform`` is given.
         mutation: a registered :class:`repro.mutate.Mutation` (or its
             name) to inject — operational mutations arm a seeded
             :class:`repro.mutate.FaultPlane` on the executor, detailed
-            ones swap in the MESI simulator with the matching
-            :class:`repro.sim.faults.FaultConfig`.  ``None`` (default)
+            ones run as ``faults=mutation.fault_config()``, so they
+            cannot be combined with ``faults``.  ``None`` (default)
             runs the unmutated, byte-identical machine.
+
+    The executor knobs (``faults``, ``mutation``, ``os_model``,
+    ``instrumentation``, ``sync_barriers``) are plain data, so
+    ``run(jobs=N)`` hands them to fleet workers, which rebuild this
+    campaign from them.
     """
 
     def __init__(self, program: TestProgram = None, config: TestConfig = None,
                  platform: Platform = None, model: MemoryModel = None, *,
-                 instrumentation: str = "signature", os_model=None, seed: int = 0,
-                 executor_cls=OperationalExecutor, sync_barriers: bool = False,
-                 mutation=None):
+                 instrumentation: str = "signature", os_model: bool = False,
+                 seed: int = 0, faults: FaultConfig = None,
+                 sync_barriers: bool = False, mutation=None):
         obs = get_obs()
         if program is None:
             if config is None:
@@ -160,13 +176,34 @@ class Campaign:
                 program = generate(config)
         self.program = program
         self.config = config
-        #: dispatchable to fleet workers only when every knob is plain data
-        self._fleet_ready = executor_cls is OperationalExecutor
+        #: ``faults`` as given; fleet workers rebuild a detailed mutation's
+        #: own fault config from its name
+        self.faults = faults
         self.mutation = None
         plane = None
         if mutation is not None:
-            plane, executor_cls, platform = self._resolve_mutation(
-                mutation, executor_cls, platform, seed)
+            from repro.mutate.plane import FaultPlane
+            from repro.mutate.registry import Mutation, get_mutation
+
+            self.mutation = mutation if isinstance(mutation, Mutation) \
+                else get_mutation(mutation)
+            if faults is not None:
+                raise ReproError(
+                    "mutation %r picks its own executor; it cannot be "
+                    "combined with faults" % self.mutation.name)
+            if self.mutation.executor == "detailed":
+                faults = self.mutation.fault_config()
+            else:
+                plane = FaultPlane(self.mutation, seed)
+        if faults is not None:
+            isa = config.isa if config else "x86"
+            if isa != "x86":
+                raise ReproError(
+                    "%s runs on the detailed MESI simulator, which models "
+                    "x86 only (config is %s)"
+                    % ("mutation %r" % self.mutation.name if self.mutation
+                       else "a FaultConfig", isa))
+            platform = platform or GEM5_X86_8CORE
         if platform is None:
             platform = platform_for_isa(config.isa if config else "arm")
         self.platform = platform
@@ -174,59 +211,28 @@ class Campaign:
         with obs.span("instrument"):
             self.codec = SignatureCodec(program, platform.register_width)
         layout = config.layout if config else None
-        self._owned_os_model = None
-        if os_model is True:
-            os_model = OSModel(random.Random(derive_os_seed(seed)),
-                               program.num_threads, platform.num_cores)
-            self._owned_os_model = os_model
-        extra = {"plane": plane} if plane is not None else {}
-        self.executor = executor_cls(
-            program, self.model, platform, seed=seed,
-            instrumentation=instrumentation, codec=self.codec,
-            layout=layout, os_model=os_model, sync_barriers=sync_barriers,
-            **extra)
+        self._os_model = OSModel(
+            random.Random(derive_os_seed(seed)), program.num_threads,
+            platform.num_cores) if os_model else None
+        self.executor: OperationalExecutor | DetailedExecutor
+        if faults is None:
+            self.executor = OperationalExecutor(
+                program, self.model, platform, seed=seed,
+                instrumentation=instrumentation, codec=self.codec,
+                layout=layout, os_model=self._os_model,
+                sync_barriers=sync_barriers, plane=plane)
+        else:
+            from repro.sim.detailed import DetailedExecutor
+
+            self.executor = DetailedExecutor(
+                program, self.model, platform, seed=seed,
+                instrumentation=instrumentation, codec=self.codec,
+                layout=layout, os_model=self._os_model,
+                sync_barriers=sync_barriers, faults=faults)
         self.instrumentation = instrumentation
         self.seed = seed
         self.sync_barriers = sync_barriers
-        self._fleet_ready = (
-            self._fleet_ready
-            and (os_model is None or os_model is self._owned_os_model))
         self._sort_model = SortCostModel()
-
-    def _resolve_mutation(self, mutation, executor_cls, platform, seed):
-        """Turn a mutation (or its name) into executor wiring.
-
-        Operational mutations get a fresh :class:`FaultPlane`; detailed
-        ones swap the executor class for the MESI simulator carrying the
-        bug's :class:`FaultConfig` (mirroring the CLI ``--bug`` path).
-        Mutated campaigns stay fleet-dispatchable — workers rebuild the
-        same wiring from the mutation's registered name.
-        """
-        from repro.mutate.plane import FaultPlane
-        from repro.mutate.registry import Mutation, get_mutation
-
-        resolved = mutation if isinstance(mutation, Mutation) \
-            else get_mutation(mutation)
-        if not self._fleet_ready:
-            raise ReproError(
-                "mutation %r cannot be combined with a custom executor class"
-                % resolved.name)
-        self.mutation = resolved
-        if resolved.executor == "detailed":
-            from repro.sim.detailed import DetailedExecutor
-            from repro.sim.platform import GEM5_X86_8CORE
-
-            isa = self.config.isa if self.config else "x86"
-            if isa != "x86":
-                raise ReproError(
-                    "mutation %r runs on the detailed MESI simulator, "
-                    "which models x86 only (config is %s)"
-                    % (resolved.name, isa))
-            faults = resolved.fault_config()
-            executor_cls = (
-                lambda *a, **kw: DetailedExecutor(*a, faults=faults, **kw))
-            return None, executor_cls, platform or GEM5_X86_8CORE
-        return FaultPlane(resolved, seed), executor_cls, platform
 
     def run(self, iterations: int, jobs: int = 1, block: int = None,
             lint: str = None) -> CampaignResult:
@@ -317,8 +323,8 @@ class Campaign:
     def _reseed_block(self, index: int) -> None:
         """Point the substrate's RNG streams at seed block ``index``."""
         self.executor.reseed(derive_seed(self.seed, index))
-        if self._owned_os_model is not None:
-            self._owned_os_model.rng.seed(derive_os_seed(self.seed, index))
+        if self._os_model is not None:
+            self._os_model.rng.seed(derive_os_seed(self.seed, index))
 
     def _run_into(self, result: CampaignResult, iterations: int) -> None:
         encode = self.codec.encode
@@ -352,16 +358,12 @@ class Campaign:
                    lint: str = None) -> CampaignResult:
         from repro.fleet.campaign import run_campaign_fleet
 
-        if not self._fleet_ready:
-            raise ReproError(
-                "this campaign uses a custom executor or OS model and "
-                "cannot be dispatched to worker processes; run with jobs=1")
         return run_campaign_fleet(
             config=self.config, program=self.program, iterations=iterations,
             jobs=jobs, seed=self.seed, block=block,
             instrumentation=self.instrumentation,
-            os_model=self._owned_os_model is not None,
-            sync_barriers=self.sync_barriers, lint=lint,
+            os_model=self._os_model is not None,
+            sync_barriers=self.sync_barriers, faults=self.faults, lint=lint,
             mutation=self.mutation.name if self.mutation else None)
 
     def _record_run_metrics(self, obs, result: CampaignResult) -> None:

@@ -22,8 +22,9 @@ from repro.harness.runner import (
 from repro.testgen.config import TestConfig
 from repro.testgen.generator import generate_suite
 
-#: campaign kwargs a worker process can reconstruct from plain data
-_FLEET_KWARGS = {"instrumentation", "os_model", "sync_barriers"}
+#: campaign kwargs a worker process can reconstruct from plain data (each
+#: is also a :func:`~repro.fleet.campaign.plan_campaign_tasks` keyword)
+_FLEET_KWARGS = {"instrumentation", "os_model", "sync_barriers", "faults"}
 
 
 @dataclass
@@ -82,9 +83,10 @@ class SuiteRunner:
             (array-compiled replay) or ``"graphs"`` (legacy full-graph
             path); see :func:`repro.harness.check_campaign_result`.
         campaign_kwargs: forwarded to every :class:`Campaign`
-            (platform, instrumentation, executor_cls, os_model, ...);
-            fleet mode accepts only the plain-data subset
-            (``instrumentation``, ``os_model``, ``sync_barriers``).
+            (platform, instrumentation, faults, os_model, ...); fleet
+            mode accepts only the knobs a worker rebuilds a campaign
+            from (``instrumentation``, ``os_model``, ``sync_barriers``,
+            ``faults``).
     """
 
     def __init__(self, config: TestConfig, tests: int = 10,
@@ -145,10 +147,6 @@ class SuiteRunner:
             raise ReproError(
                 "campaign options %s cannot be dispatched to worker "
                 "processes; run with jobs=1" % sorted(unsupported))
-        os_model = self.campaign_kwargs.get("os_model")
-        if os_model not in (None, False, True):
-            raise ReproError("fleet suites support only os_model=True; "
-                             "custom OS models need jobs=1")
         obs = get_obs()
         tasks = []
         # per test: whether it has a task (lint may skip a test
@@ -159,11 +157,7 @@ class SuiteRunner:
             run_iterations, skipped = self._gate_test(program)
             test_tasks = plan_campaign_tasks(
                 program, self.config, run_iterations, 1, seed=seed + index,
-                instrumentation=self.campaign_kwargs.get(
-                    "instrumentation", "signature"),
-                os_model=bool(os_model),
-                sync_barriers=self.campaign_kwargs.get("sync_barriers", False),
-                collect_metrics=obs.enabled)
+                collect_metrics=obs.enabled, **self.campaign_kwargs)
             tasks.extend(test_tasks)
             gated.append((bool(test_tasks), skipped))
         base = FleetConfig() if self.fleet is None else self.fleet

@@ -17,13 +17,18 @@ our MESI simulator:
   protocol into an invalid transition; the simulation crashes (as all of
   the paper's bug-3 runs did).
 
-These three bugs are registered as ``detailed``-executor mutations in
+A campaign runs on the detailed simulator when given a
+:class:`FaultConfig`: ``Campaign(config, faults=FaultConfig(...))``,
+which ``repro run --detailed/--bug/--l1-lines`` builds and fleet
+workers receive as the same plain data.  The three bugs are also
+registered as ``detailed``-executor mutations in
 :mod:`repro.mutate.registry` (``gem5-protocol-squash``,
 ``gem5-lsq-squash``, ``gem5-writeback-race``), so the checker-
 sensitivity suite drives them through the same campaign machinery as
-the operational executor's fault plane; :attr:`Bug.mutation_name` is
-the code-level link.  This module stays import-light (the simulator
-depends on it) and keeps the low-level knobs.
+the operational executor's fault plane; a detailed mutation runs as
+``faults=mutation.fault_config()``, and :attr:`Bug.mutation_name` is
+the code-level link.  This module stays import-light (the simulator,
+the harness and the fleet depend on it) and keeps the low-level knobs.
 """
 
 from __future__ import annotations

@@ -69,10 +69,10 @@ def reference_reports(program, codec, signatures, model):
             CollectiveChecker().check_deltas(source))
 
 
-def packed_report(program, codec, signatures, model, initial_key=None):
+def packed_report(program, codec, signatures, model):
     plan = PackedPlan(codec, GraphBuilder(program, model, ws_mode="static"),
                       signatures)
-    return PackedChecker(initial_key).check(plan), plan
+    return PackedChecker().check(plan), plan
 
 
 def poly_report(program, codec, signatures, model):

@@ -124,16 +124,6 @@ class TestEquivalenceWithBaseline:
         assert [v.violation for v in collective.verdicts] == \
                [v.violation for v in baseline.verdicts]
 
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_equivalence_with_initial_key(self, seed):
-        rng = random.Random(seed)
-        graphs = _random_graph_sequence(rng, rng.randrange(3, 10), rng.randrange(1, 8))
-        collective = CollectiveChecker(initial_key=lambda v: -v).check(graphs)
-        baseline = BaselineChecker().check(graphs)
-        assert [v.violation for v in collective.verdicts] == \
-               [v.violation for v in baseline.verdicts]
-
 
 class TestOnRealCampaignGraphs:
     @pytest.mark.parametrize("isa", ["arm", "x86"])

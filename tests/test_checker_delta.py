@@ -130,34 +130,19 @@ class TestPipelineParity:
         for mine, theirs in zip(streamed.verdicts, legacy.verdicts):
             assert (mine.violation, mine.cycle) == (theirs.violation, theirs.cycle)
 
-    def test_initial_key_preserved_in_delta_pipeline(self):
-        cfg = TestConfig(isa="arm", threads=2, ops_per_thread=25,
-                         addresses=8, seed=5)
-        program, codec, signatures = run_unique_signatures(cfg, 150)
-        builder = GraphBuilder(program, get_model("weak"), ws_mode="static")
-        source = SignatureDeltaSource(codec, builder, signatures)
-        graphs = [builder.build(codec.decode(sig)) for sig in signatures]
-        key = lambda v: -v
-        legacy = CollectiveChecker(initial_key=key).check(graphs)
-        streamed = CollectiveChecker(initial_key=key).check_deltas(source)
-        assert streamed.summary() == legacy.summary()
-
 
 class TestInjectedBugCampaign:
     def test_table3_bug_campaign_summaries_identical(self):
         """Table-3 flow on the detailed simulator with an injected
         load-load reordering bug: the bug-perturbed signature multiset
         must check identically through both pipelines."""
-        from repro.sim import GEM5_X86_8CORE
-        from repro.sim.detailed import DetailedExecutor
         from repro.sim.faults import Bug, FaultConfig
 
         cfg = TestConfig(isa="x86", threads=4, ops_per_thread=60,
                          addresses=16, words_per_line=16, seed=24)
         campaign = Campaign(
-            config=cfg, seed=124, platform=GEM5_X86_8CORE,
-            executor_cls=lambda *a, **kw: DetailedExecutor(
-                *a, faults=FaultConfig(bug=Bug.LOAD_LOAD_LSQ, l1_lines=4), **kw))
+            config=cfg, seed=124,
+            faults=FaultConfig(bug=Bug.LOAD_LOAD_LSQ, l1_lines=4))
         result = campaign.run(96)
         assert result.unique_signatures > 10
         legacy = check_campaign_result(result, pipeline="graphs")

@@ -130,18 +130,6 @@ class TestThreeWayParity:
             assert (mine.violation, mine.cycle) == \
                 (theirs.violation, theirs.cycle)
 
-    def test_initial_key_parity(self):
-        cfg = TestConfig(isa="arm", threads=2, ops_per_thread=25,
-                         addresses=8, seed=5)
-        program, codec, signatures = run_unique_signatures(cfg, 150)
-        key = lambda v: -v
-        builder = GraphBuilder(program, get_model("weak"), ws_mode="static")
-        graphs = [builder.build(codec.decode(sig)) for sig in signatures]
-        legacy = CollectiveChecker(initial_key=key).check(graphs)
-        packed, plan = packed_report(program, codec, signatures,
-                                     get_model("weak"), initial_key=key)
-        assert packed.summary() == legacy.summary()
-
     def test_precompiled_base_order_used_without_key(self):
         cfg = TestConfig(isa="arm", threads=2, ops_per_thread=20,
                          addresses=8, seed=6)

@@ -155,15 +155,6 @@ class TestPolyChecker:
         assert source.stats == stats
         assert second.summary() == first.summary()
 
-    def test_initial_key_is_interface_only(self):
-        cfg = TestConfig(isa="arm", threads=2, ops_per_thread=20,
-                         addresses=8, seed=6)
-        program, codec, signatures = run_unique_signatures(cfg, 100)
-        source = PolySignatureSource(codec, get_model("weak"), signatures)
-        keyed = PolyChecker(initial_key=lambda v: -v).check(source)
-        plain = PolyChecker().check(source)
-        assert keyed.summary() == plain.summary()
-
 
 class TestFourWayContract:
     """The shared differential fixture, all four pipelines at once."""

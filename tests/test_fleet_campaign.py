@@ -10,6 +10,7 @@ from repro import obs
 from repro.errors import ExecutionError, ReproError
 from repro.fleet import FleetConfig, run_campaign_fleet
 from repro.harness import Campaign, SuiteRunner, check_campaign_result
+from repro.sim.faults import Bug, FaultConfig
 from repro.testgen import TestConfig, paper_config
 
 CFG = TestConfig(threads=2, ops_per_thread=10, addresses=8, seed=7)
@@ -60,16 +61,6 @@ class TestShardedDeterminism:
                                    seed=11, block=40)
         assert two.signature_counts == three.signature_counts
 
-    def test_custom_executor_cannot_be_sharded(self):
-        from repro.sim.executor import OperationalExecutor
-
-        class Custom(OperationalExecutor):
-            pass
-
-        campaign = Campaign(config=CFG, executor_cls=Custom)
-        with pytest.raises(ReproError):
-            campaign.run(40, jobs=2)
-
 
 class TestCommittedFleetChecksum:
     """The bench snapshot's multiset checksum, serial and on two workers."""
@@ -93,6 +84,8 @@ class TestCrashTolerance:
 
     X86 = TestConfig(isa="x86", threads=2, ops_per_thread=8, addresses=4,
                      seed=3)
+    #: bug 3 on a 2-line L1: the writeback race fires in most iterations
+    BUG3 = FaultConfig(bug=Bug.WRITEBACK_RACE, l1_lines=2)
 
     def test_bug3_device_death_recorded_as_crashes(self):
         # bug 3 (writeback race) crashes every iteration; die_on_crash
@@ -102,7 +95,7 @@ class TestCrashTolerance:
         with obs.enabled_obs() as handle:
             merged = run_campaign_fleet(
                 config=self.X86, iterations=60, jobs=2, seed=5, block=20,
-                detailed=True, bug=3, l1_lines=2, die_on_crash=True,
+                faults=self.BUG3, die_on_crash=True,
                 fleet=FleetConfig(max_retries=1))
             assert merged.iterations == 60
             assert merged.crashes == 60
@@ -113,7 +106,7 @@ class TestCrashTolerance:
     def test_crashed_result_still_checks(self):
         merged = run_campaign_fleet(
             config=self.X86, iterations=40, jobs=2, seed=5, block=20,
-            detailed=True, bug=3, l1_lines=2, die_on_crash=True,
+            faults=self.BUG3, die_on_crash=True,
             fleet=FleetConfig(max_retries=0))
         outcome = check_campaign_result(merged)
         assert outcome.collective.num_graphs == 0
@@ -121,29 +114,26 @@ class TestCrashTolerance:
     def test_in_simulation_crashes_without_device_death(self):
         # without die_on_crash the worker survives bug-3 iterations and
         # ships its multiset with the per-iteration crash count; the
-        # multiset matches the serial run's exactly
+        # multiset matches the serial run's exactly, and so does a
+        # detailed Campaign sharded through run(jobs=2)
         merged = run_campaign_fleet(
             config=self.X86, iterations=40, jobs=2, seed=5, block=20,
-            detailed=True, bug=3, l1_lines=2)
+            faults=self.BUG3)
         assert merged.iterations == 40
         assert merged.crashes >= 1              # writeback races fired
-        from repro.sim.detailed import DetailedExecutor
-        from repro.sim.faults import Bug, FaultConfig
-        from repro.sim.platform import GEM5_X86_8CORE
-
-        faults = FaultConfig(bug=Bug.WRITEBACK_RACE, l1_lines=2)
-        serial = Campaign(
-            config=self.X86, platform=GEM5_X86_8CORE, seed=5,
-            executor_cls=lambda *a, **kw: DetailedExecutor(
-                *a, faults=faults, **kw)).run(40, block=20)
-        assert merged.crashes == serial.crashes
-        assert merged.signature_counts == serial.signature_counts
-
+        campaign = Campaign(config=self.X86, seed=5, faults=self.BUG3)
+        serial = campaign.run(40, block=20)
+        sharded = campaign.run(40, jobs=2, block=20)
+        for other in (serial, sharded):
+            assert other.iterations == merged.iterations
+            assert other.crashes == merged.crashes
+            assert other.signature_counts == merged.signature_counts
 
     @pytest.mark.parametrize("knobs", [
-        {"detailed": True, "os_model": True},
+        {"faults": FaultConfig(l1_lines=4), "os_model": True},
         {"mutation": "gem5-protocol-squash", "os_model": True},
-        {"bug": 2, "sync_barriers": True}])
+        {"faults": FaultConfig(bug=Bug.LOAD_LOAD_LSQ, l1_lines=4),
+         "sync_barriers": True}])
     def test_detailed_os_or_sync_rejected_before_dispatch(self, knobs):
         # a worker cannot build that executor; without the host-side
         # check every shard failed and was reported as crashes
@@ -197,13 +187,27 @@ class TestSuiteFleet:
         assert fleet.baseline_sorted_vertices == \
                serial.baseline_sorted_vertices
 
+    def test_sharded_detailed_suite_matches_serial(self):
+        cfg = TestConfig(isa="x86", threads=3, ops_per_thread=10,
+                         addresses=4, words_per_line=2, seed=2)
+        faults = FaultConfig(bug=Bug.LOAD_LOAD_LSQ, l1_lines=2)
+        serial = SuiteRunner(cfg, tests=2, iterations=40,
+                             faults=faults).run(seed=4)
+        fleet = SuiteRunner(cfg, tests=2, iterations=40, jobs=2,
+                            faults=faults).run(seed=4)
+        assert fleet.unique_signatures == serial.unique_signatures
+        assert fleet.crashes == serial.crashes
+        assert fleet.violating_signatures == serial.violating_signatures
+        assert fleet.collective_sorted_vertices == \
+               serial.collective_sorted_vertices
+
     def test_unsupported_campaign_kwargs_rejected(self):
-        from repro.sim.executor import OperationalExecutor
+        from repro.sim.platform import ARM_BIG_LITTLE
 
         cfg = TestConfig(threads=2, ops_per_thread=8, addresses=4, seed=2)
         runner = SuiteRunner(cfg, tests=1, iterations=20, jobs=2,
-                             executor_cls=OperationalExecutor)
-        with pytest.raises(ReproError):
+                             platform=ARM_BIG_LITTLE)
+        with pytest.raises(ReproError, match="platform"):
             runner.run()
 
     def test_jobs_must_be_positive(self):

@@ -8,6 +8,7 @@ from repro import io as repro_io
 from repro.fleet import WorkerTask, execute_task, run_worker_task
 from repro.fleet.worker import task_meta
 from repro.harness import Campaign
+from repro.sim.faults import FaultConfig
 from repro.testgen import TestConfig, generate
 
 CFG = TestConfig(threads=2, ops_per_thread=10, addresses=8, seed=5)
@@ -48,7 +49,7 @@ class TestWorkerTask:
         program = generate(cfg)
         task = WorkerTask(program_doc=repro_io.dump_program(program),
                           blocks=((0, 20),), seed=5, config=cfg,
-                          detailed=True, l1_lines=2)
+                          faults=FaultConfig(l1_lines=2))
         result = execute_task(task)
         assert result.iterations == 20
         assert result.codec.register_width == 64

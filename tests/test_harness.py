@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ReproError
 from repro.harness import (
     Campaign,
     SortCostModel,
@@ -10,7 +10,7 @@ from repro.harness import (
     format_table,
     run_and_check,
 )
-from repro.sim.detailed import DetailedExecutor
+from repro.sim.faults import Bug, FaultConfig
 from repro.testgen import TestConfig
 
 
@@ -77,10 +77,24 @@ class TestCampaign:
 
     def test_campaign_with_detailed_executor(self):
         cfg = TestConfig(isa="x86", threads=2, ops_per_thread=10, addresses=4, seed=9)
-        campaign = Campaign(config=cfg, seed=1, executor_cls=DetailedExecutor)
+        campaign = Campaign(config=cfg, seed=1, faults=FaultConfig())
         result = campaign.run(20)
         outcome = campaign.check(result)
         assert not outcome.collective.violations
+
+    def test_faults_need_x86_and_no_mutation(self):
+        # the MESI simulator models x86 only, and a mutation brings its
+        # own executor, so neither combination may run silently
+        arm = TestConfig(isa="arm", threads=2, ops_per_thread=10,
+                         addresses=4, seed=9)
+        with pytest.raises(ReproError, match="x86 only"):
+            Campaign(config=arm, faults=FaultConfig())
+        x86 = TestConfig(isa="x86", threads=2, ops_per_thread=10,
+                         addresses=4, seed=9)
+        for mutation in ("gem5-lsq-squash", "tso-stale-read"):
+            with pytest.raises(ReproError, match="combined with faults"):
+                Campaign(config=x86, mutation=mutation,
+                         faults=FaultConfig(bug=Bug.LOAD_LOAD_LSQ))
 
     def test_os_model_flag(self):
         cfg = TestConfig(isa="arm", threads=2, ops_per_thread=15, addresses=8, seed=5)
@@ -98,7 +112,7 @@ class TestCampaign:
         with pytest.raises(ExecutionError, match="detailed simulator"):
             Campaign(config=cfg, mutation="gem5-protocol-squash", **knob)
         with pytest.raises(ExecutionError, match="detailed simulator"):
-            Campaign(config=cfg, executor_cls=DetailedExecutor, **knob)
+            Campaign(config=cfg, faults=FaultConfig(), **knob)
 
 
 class TestSortCostModel:

@@ -9,7 +9,6 @@ from repro.instrument import intrusiveness
 from repro.checker.results import describe_cycle
 from repro.graph import GraphBuilder
 from repro.mcm import TSO
-from repro.sim.detailed import DetailedExecutor
 from repro.sim.faults import Bug, FaultConfig
 from repro.testgen import TestConfig, generate_suite
 
@@ -113,14 +112,10 @@ class TestBugDetectionEndToEnd:
         cfg = TestConfig(isa="x86", threads=7, ops_per_thread=200, addresses=32,
                          words_per_line=16, seed=23)
         detected = []
-        from repro.sim import GEM5_X86_8CORE
-
         for i, program in enumerate(generate_suite(cfg, 3)):
             campaign = Campaign(
                 program=program, config=cfg, seed=100 + i,
-                platform=GEM5_X86_8CORE,
-                executor_cls=lambda *a, **kw: DetailedExecutor(
-                    *a, faults=FaultConfig(bug=Bug.LOAD_LOAD_LSQ, l1_lines=4), **kw))
+                faults=FaultConfig(bug=Bug.LOAD_LOAD_LSQ, l1_lines=4))
             # observed-ws graphs catch the violation exactly as the
             # calibration study does
             campaign_check = campaign.check
@@ -145,7 +140,6 @@ class TestBugDetectionEndToEnd:
                          words_per_line=4, seed=29)
         campaign = Campaign(
             config=cfg, seed=5,
-            executor_cls=lambda *a, **kw: DetailedExecutor(
-                *a, faults=FaultConfig(bug=Bug.WRITEBACK_RACE, l1_lines=4), **kw))
+            faults=FaultConfig(bug=Bug.WRITEBACK_RACE, l1_lines=4))
         result = campaign.run(10)
         assert result.crashes == 10

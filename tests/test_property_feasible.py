@@ -116,17 +116,11 @@ def test_differential_on_litmus_corpus():
 def test_detailed_simulator_executions_are_feasible():
     """Fault-free MESI runs under TSO stay inside the feasible set."""
     from repro.harness import Campaign
-    from repro.sim.detailed import DetailedExecutor
     from repro.sim.faults import FaultConfig
-    from repro.sim.platform import GEM5_X86_8CORE
 
     cfg = TestConfig(isa="x86", threads=2, ops_per_thread=8, addresses=2,
                      seed=9)
-    faults = FaultConfig(l1_lines=4)
-    campaign = Campaign(
-        config=cfg, seed=0, platform=GEM5_X86_8CORE,
-        executor_cls=lambda *a, **kw: DetailedExecutor(
-            *a, faults=faults, **kw))
+    campaign = Campaign(config=cfg, seed=0, faults=FaultConfig(l1_lines=4))
     result = campaign.run(40)
     assert result.crashes == 0 and result.signature_asserts == 0
     oracle = FeasibilityOracle(result.program, campaign.model)

@@ -64,19 +64,12 @@ def test_fault_free_detailed_simulator_is_clean():
     bug configs (the very shapes tuned to provoke the injected bugs)."""
     from repro.mutate import detailed_mutations
 
-    for m in detailed_mutations():
-        campaign = Campaign(config=m.spec.config, seed=0)
-        # no mutation: runs the operational machine; now swap in the
-        # detailed simulator explicitly, fault-free
-        from repro.sim.detailed import DetailedExecutor
-        from repro.sim.faults import FaultConfig
-        from repro.sim.platform import GEM5_X86_8CORE
+    from repro.sim.faults import FaultConfig
 
-        faults = FaultConfig(l1_lines=m.spec.l1_lines)
-        campaign = Campaign(
-            config=m.spec.config, seed=0, platform=GEM5_X86_8CORE,
-            executor_cls=lambda *a, **kw: DetailedExecutor(
-                *a, faults=faults, **kw))
+    for m in detailed_mutations():
+        # no mutation: the detailed simulator, fault-free
+        campaign = Campaign(config=m.spec.config, seed=0,
+                            faults=FaultConfig(l1_lines=m.spec.l1_lines))
         result = campaign.run(24)
         assert result.crashes == 0
         assert result.signature_asserts == 0
