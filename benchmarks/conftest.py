@@ -171,7 +171,7 @@ def campaign_graphs(config, iterations=None, seed=1, ws_mode="static"):
     for sig in result.sorted_signatures():
         rf = campaign.codec.decode(sig)
         if ws_mode == "observed":
-            graphs.append(builder.build(rf, result.representatives[sig].ws))
+            graphs.append(builder.build(rf, result.ws_orders[sig]))
         else:
             graphs.append(builder.build(rf))
     return campaign, result, graphs

@@ -56,9 +56,10 @@ class PackedPlan:
 
     Built once per campaign (construction cost is O(block); the paper's
     per-execution checking loop never touches Python object graphs
-    again).  The plan doubles as a graph source for
+    again).  The plan doubles as a signature source for
     :meth:`BaselineChecker.check_stream` and witness extraction: it
-    exposes ``__len__``, ``num_vertices`` and ``full_graph``.
+    exposes ``__len__``, ``num_vertices``, ``codec``, ``signatures``,
+    ``builder`` and ``full_graph``.
 
     Args:
         codec: the campaign's :class:`SignatureCodec`.

@@ -203,11 +203,12 @@ class PolySignatureSource:
     """A sorted unique-signature block bound to a poly verifier.
 
     The poly analogue of ``SignatureDeltaSource``/``PackedPlan``:
-    exposes ``__len__``/``num_vertices``/``full_graph`` so
-    ``CheckOutcome.graph_at`` and the conventional baseline's
-    ``check_stream`` work unchanged.  Verification itself never touches
-    a graph — ``full_graph`` exists for witness rendering and the
-    baseline comparator only, and rebuilds lazily.
+    exposes ``__len__``/``num_vertices``/``codec``/``signatures``/
+    ``builder``/``full_graph`` so ``CheckOutcome.graph_at`` and the
+    conventional baseline's ``check_stream`` work unchanged.
+    Verification itself never touches a graph — ``builder`` and
+    ``full_graph`` exist for witness rendering and the baseline
+    comparator only, and the builder is made on first use.
     """
 
     def __init__(self, codec: SignatureCodec, model: MemoryModel,
@@ -230,14 +231,19 @@ class PolySignatureSource:
     def num_vertices(self) -> int:
         return self.codec.program.num_ops
 
-    def full_graph(self, index: int):
-        """Rebuild one signature's constraint graph (witness/baseline
-        path only — the verifier never calls this)."""
-        from repro.graph.builder import GraphBuilder
+    @property
+    def builder(self):
+        """A static-ws graph builder for witnesses and the baseline,
+        built on first use (the verifier never calls this)."""
         if self._builder is None:
+            from repro.graph.builder import GraphBuilder
             self._builder = GraphBuilder(self.codec.program, self.model,
                                          ws_mode="static")
-        return self._builder.build(self.codec.decode(self.signatures[index]))
+        return self._builder
+
+    def full_graph(self, index: int):
+        """Rebuild one signature's constraint graph (witness path only)."""
+        return self.builder.build(self.codec.decode(self.signatures[index]))
 
 
 class PolyChecker:

@@ -17,7 +17,7 @@ split for the simulation pipeline:
   worker death is the paper's bug-3 crash outcome, never a campaign
   abort;
 * :mod:`~repro.fleet.merge` — signature-multiset union (count summing,
-  one representative execution per unique signature);
+  one ws order per unique signature);
 * :mod:`~repro.fleet.campaign` — :func:`run_campaign_fleet`, the
   one-call orchestration used by ``Campaign.run(jobs=N)`` and the CLI.
 

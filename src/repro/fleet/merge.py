@@ -2,8 +2,8 @@
 
 The host side of the paper's device/host split: every worker (device)
 ships a signature multiset; the host unions them — summing per-signature
-occurrence counts and keeping one representative execution per unique
-signature — before the collective checker runs.  Because the checkers
+occurrence counts and keeping one ws order per unique signature —
+before the collective checker runs.  Because the checkers
 consume only the sorted unique-signature set, a merged sharded campaign
 is checked byte-identically to a serial one.
 """
@@ -18,7 +18,7 @@ def merge_campaign_results(results) -> CampaignResult:
     """Union shard :class:`CampaignResult` multisets into one result.
 
     Per-signature counts are summed; the first shard (in argument order)
-    to observe a signature contributes its representative execution.
+    to observe a signature contributes its ws order.
     Iteration, crash and access totals are summed; cycle accounting is
     summed too, which matches per-device accounting but — like the
     paper's per-device measurements — is not bit-identical to one
@@ -50,8 +50,8 @@ def merge_campaign_results(results) -> CampaignResult:
         merged.skipped_iterations += result.skipped_iterations
         merged.signature_asserts += result.signature_asserts
         merged.signature_counts.update(result.signature_counts)
-        for signature, representative in result.representatives.items():
-            merged.representatives.setdefault(signature, representative)
+        for signature, ws in result.ws_orders.items():
+            merged.ws_orders.setdefault(signature, ws)
         merged.base_cycles += result.base_cycles
         merged.instrumentation_cycles += result.instrumentation_cycles
         merged.signature_sort_cycles += result.signature_sort_cycles

@@ -3,7 +3,9 @@
 Everything static — the MCM's intra-thread edges, store locations, vertex
 IDs — is computed once per test at construction, the static edges into a
 template graph; :meth:`GraphBuilder.build` copies the template and adds the
-dynamic edges of one execution.
+dynamic edges of one execution, and :meth:`GraphBuilder.sort_tables`
+appends them to the template's adjacency tuples for a sort that needs
+no graph.
 
 Dependency-edge rules (notation of [4, 32], as adopted by the paper):
 
@@ -75,7 +77,18 @@ class GraphBuilder:
         self._static_pairs: tuple[tuple[int, int], ...] = tuple(
             (e.src, e.dst) for e in static_edges if e.src != e.dst)
         #: every build starts as a copy of this graph of the static edges
-        self._template = ConstraintGraph(program.num_ops, static_edges)
+        template = self._template = ConstraintGraph(program.num_ops,
+                                                    static_edges)
+        #: the template's adjacency as per-vertex tuples and its
+        #: in-degrees, the start of every :meth:`sort_tables`
+        self._static_successors: dict[int, tuple] = {
+            v: tuple(successors)
+            for v, successors in template.adjacency.items()}
+        indegree = [0] * program.num_ops
+        for successors in self._static_successors.values():
+            for w in successors:
+                indegree[w] += 1
+        self._static_indegree = indegree
         #: (load uid, source) -> (pairs, kinds) of the load's static-mode
         #: rf/fr edges; filled on demand by :meth:`_dynamic`
         self._edge_table: dict[tuple[int, object], tuple] = {}
@@ -166,6 +179,34 @@ class GraphBuilder:
                                "ws_mode (observed graphs are not a function "
                                "of the signature alone)")
         return self._dynamic(load_uid, source)[0]
+
+    def sort_tables(self, rf: dict[int, object]) -> tuple:
+        """One static-ws execution's ``(adjacency, indegree)``, ready
+        for :func:`~repro.graph.toposort.kahn_sort`.
+
+        A shallow copy of the template's successor tuples with each
+        load's memoized rf/fr pairs appended, and the template's
+        in-degrees counted up to match.  Multiplicity is kept: a
+        dynamic pair that repeats a static one is listed and counted
+        twice, which changes no verdict.  Nothing is deduplicated and no
+        :class:`ConstraintGraph` is built, so a complete sort of an
+        execution costs one dict copy plus its dynamic pairs.  Like
+        :meth:`dynamic_edge_pairs`, static ws_mode only.
+        """
+        if self.ws_mode != "static":
+            raise CheckerError("sort tables exist only in static ws_mode "
+                               "(observed graphs are not a function of "
+                               "the signature alone)")
+        adjacency = self._static_successors.copy()
+        indegree = self._static_indegree.copy()
+        get = adjacency.get
+        table = self._edge_table
+        for key in rf.items():  # (load uid, source): the memo's key
+            entry = table.get(key) or self._dynamic(*key)
+            for u, v in entry[0]:
+                adjacency[u] = get(u, ()) + (v,)
+                indegree[v] += 1
+        return adjacency, indegree
 
     @property
     def static_pairs(self) -> tuple:

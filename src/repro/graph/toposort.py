@@ -6,10 +6,12 @@ violation reports like the paper's Figure 13.
 
 All functions operate on a plain adjacency mapping ``{vertex: [succ,...]}``.
 :func:`complete_sort` sorts every vertex of a graph (the baseline checks
-each execution with it; the collective checkers use it while they have
-no valid base order); :func:`resort_window` is the collective
-checkers' one windowed re-sort, which restores an order after new
-backward edges by touching only the vertices they delay;
+prebuilt graphs with it; the collective checkers use it while they have
+no valid base order) through :func:`kahn_sort`, the one Kahn loop, which
+the baseline's stream also calls on in-degrees a builder counted;
+:func:`resort_window` is the collective checkers' one windowed re-sort,
+which restores an order after new backward edges by touching only the
+vertices they delay;
 :func:`topological_sort` and :func:`find_cycle` restrict to
 ``vertices``, so the same adjacency serves any induced subgraph without
 materializing it (``topological_sort`` with position keys is the
@@ -28,21 +30,39 @@ def complete_sort(adjacency: Mapping[int, Sequence[int]], num_vertices: int,
     """Topologically sort all of ``range(num_vertices)``.
 
     Returns exactly ``topological_sort(range(num_vertices), adjacency)``,
-    FIFO tie for tie.  Every vertex is a member, so there is no
-    membership test, and in-degrees are counted into ``indegree``, a
+    FIFO tie for tie.  In-degrees are counted into ``indegree``, a
     caller-owned scratch sequence of ``num_vertices`` zeros that is all
     zero again on return (whether or not the graph is acyclic), so one
-    scratch serves a whole stream of graphs.  The output list doubles as
-    the FIFO queue.
+    scratch serves a whole stream of graphs; :func:`kahn_sort` does the
+    sorting.
 
     Returns the order, or None when the graph is cyclic.
     """
     for successors in adjacency.values():
         for w in successors:
             indegree[w] += 1
+    order = kahn_sort(adjacency, num_vertices, indegree)
+    if order is None:
+        for v in range(num_vertices):
+            indegree[v] = 0
+    return order
+
+
+def kahn_sort(adjacency: Mapping[int, Sequence[int]], num_vertices: int,
+              indegree: MutableSequence[int]) -> list[int] | None:
+    """Kahn's FIFO loop over ``range(num_vertices)`` with counted in-degrees.
+
+    ``indegree[v]`` must be the number of times ``v`` occurs in
+    ``adjacency``'s successor sequences; a pair listed twice is counted
+    twice, so multigraphs sort too.  Every vertex is a member, so there
+    is no membership test, and the output list doubles as the FIFO
+    queue.  ``indegree`` is consumed: all zero again after an acyclic
+    sort, left partly counted after a cyclic one.
+
+    Returns the order, or None when the graph is cyclic.
+    """
     empty = ()
-    vertices = range(num_vertices)
-    order = [v for v in vertices if not indegree[v]]
+    order = [v for v in range(num_vertices) if not indegree[v]]
     append = order.append
     for v in order:  # appended-to while iterated: a FIFO queue
         for w in adjacency.get(v, empty):
@@ -50,11 +70,7 @@ def complete_sort(adjacency: Mapping[int, Sequence[int]], num_vertices: int,
             indegree[w] = remaining
             if not remaining:
                 append(w)
-    if len(order) == num_vertices:
-        return order  # every in-degree was counted back down to zero
-    for v in vertices:
-        indegree[v] = 0
-    return None
+    return order if len(order) == num_vertices else None
 
 
 def topological_sort(vertices: Sequence[int],

@@ -6,8 +6,8 @@ violation checking``:
 1. generate (or accept) a test program,
 2. build its :class:`~repro.instrument.SignatureCodec`,
 3. execute it for N iterations on an execution substrate, collecting the
-   signature of every run and keeping one representative execution per
-   *unique* signature,
+   signature of every run and keeping the observed write-serialization
+   order of the first execution of each *unique* signature,
 4. sort the unique signatures, decode each back to its reads-from map
    (Algorithm 1), build constraint graphs, and check them with both the
    collective checker and the conventional baseline.
@@ -67,8 +67,9 @@ class CampaignResult:
     iterations: int = 0
     #: signature -> occurrence count over all iterations
     signature_counts: Counter = field(default_factory=Counter)
-    #: signature -> representative execution (first with that signature)
-    representatives: dict = field(default_factory=dict)
+    #: signature -> ws order (address -> store uids in coherence order)
+    #: of its first execution; rf is the signature's own decode
+    ws_orders: dict = field(default_factory=dict)
     #: summed cycle accounting over all iterations
     base_cycles: float = 0.0
     instrumentation_cycles: float = 0.0
@@ -160,7 +161,9 @@ class Campaign:
     The executor knobs (``faults``, ``mutation``, ``os_model``,
     ``instrumentation``, ``sync_barriers``) are plain data, so
     ``run(jobs=N)`` hands them to fleet workers, which rebuild this
-    campaign from them.
+    campaign from them.  Workers cannot rebuild a ``platform`` or
+    ``model`` override, so ``run(jobs=N)`` refuses a campaign given
+    either.
     """
 
     def __init__(self, program: TestProgram = None, config: TestConfig = None,
@@ -169,6 +172,10 @@ class Campaign:
                  seed: int = 0, faults: FaultConfig = None,
                  sync_barriers: bool = False, mutation=None):
         obs = get_obs()
+        #: options given that fleet workers cannot rebuild
+        self._local_only = [name for name, value in (("platform", platform),
+                                                     ("model", model))
+                            if value is not None]
         if program is None:
             if config is None:
                 raise ValueError("need a program or a config")
@@ -329,7 +336,7 @@ class Campaign:
     def _run_into(self, result: CampaignResult, iterations: int) -> None:
         encode = self.codec.encode
         counts = result.signature_counts
-        reps = result.representatives
+        ws_orders = result.ws_orders
         for execution in self.executor.run(iterations):
             if execution.crashed:
                 result.crashes += 1
@@ -343,8 +350,8 @@ class Campaign:
                 result.signature_asserts += 1
                 continue
             counts[signature] += 1
-            if signature not in reps:
-                reps[signature] = execution
+            if signature not in ws_orders:
+                ws_orders[signature] = execution.ws
             c = execution.counters
             result.base_cycles += c.base_cycles
             result.instrumentation_cycles += c.instrumentation_cycles
@@ -358,6 +365,10 @@ class Campaign:
                    lint: str = None) -> CampaignResult:
         from repro.fleet.campaign import run_campaign_fleet
 
+        if self._local_only:
+            raise ReproError(
+                "campaign options %s cannot be dispatched to worker "
+                "processes; run with jobs=1" % self._local_only)
         return run_campaign_fleet(
             config=self.config, program=self.program, iterations=iterations,
             jobs=jobs, seed=self.seed, block=block,
@@ -390,7 +401,7 @@ class Campaign:
             result: the finished campaign.
             ws_mode: write-serialization handling — ``"static"`` (paper
                 default; graphs depend on signatures alone) or
-                ``"observed"`` (use each representative execution's
+                ``"observed"`` (use each unique signature's recorded
                 coherence order for strictly stronger checking).
             pipeline: ``"delta"`` (default) streams graph deltas through
                 the checker; ``"graphs"`` materializes every graph
@@ -412,7 +423,7 @@ def check_campaign_result(result: CampaignResult, model: MemoryModel = None,
     this one path, so sharding can never change checker semantics.
 
     Args:
-        result: signature multiset (plus representatives) to check.
+        result: signature multiset (plus ws orders) to check.
         model: memory model; defaults to the platform matching the
             result's signature register width (the io.py convention).
         ws_mode: ``"static"`` (paper default) or ``"observed"``.
@@ -485,7 +496,7 @@ def check_campaign_result(result: CampaignResult, model: MemoryModel = None,
                 rf = result.codec.decode(signature)
                 if ws_mode == "observed":
                     graphs.append(
-                        builder.build(rf, result.representatives[signature].ws))
+                        builder.build(rf, result.ws_orders[signature]))
                 else:
                     graphs.append(builder.build(rf))
         outcome = CheckOutcome(

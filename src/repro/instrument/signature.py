@@ -99,6 +99,31 @@ class SignatureCodec:
             rf.update(table.decode(words))
         return rf
 
+    def validate(self, signature: Signature) -> None:
+        """Raise the :class:`SignatureError` :meth:`decode` would raise,
+        without decoding.
+
+        Checks the thread count, each thread's word count and each word
+        against its bound (:attr:`ThreadWeightTable.word_bounds`): a
+        word decodes exactly when it lies in ``range(bound)``, so a
+        signature passes here exactly when :meth:`decode` accepts it.
+        Loaders call this on every signature they admit.
+        """
+        words = signature.words
+        if len(words) != len(self.tables):
+            raise SignatureError("signature has %d thread sections, test has %d threads"
+                                 % (len(words), len(self.tables)))
+        for table, thread_words in zip(self.tables, words):
+            bounds = table.word_bounds
+            if len(thread_words) != len(bounds):
+                raise SignatureError("thread %d: expected %d signature words, got %d"
+                                     % (table.thread, len(bounds), len(thread_words)))
+            for index, (word, bound) in enumerate(zip(thread_words, bounds)):
+                if not 0 <= word < bound:
+                    raise SignatureError(
+                        "thread %d signature word %d value %d out of range "
+                        "(bound %d)" % (table.thread, index, word, bound))
+
     def decode_delta(self, old: Signature, new: Signature) -> list:
         """Decode only the loads whose reads-from choice differs.
 

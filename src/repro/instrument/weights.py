@@ -67,6 +67,12 @@ class ThreadWeightTable:
             self.slots.append(LoadSlot(op.uid, cands, multiplier=product, word=word))
             product *= n
         self.num_words = word + 1 if self.slots else 1
+        bounds = [1] * self.num_words
+        for slot in self.slots:
+            bounds[slot.word] *= len(slot.candidates)
+        #: per word, one past its largest value: the product of its
+        #: loads' candidate counts (1 for a thread without loads)
+        self.word_bounds: tuple[int, ...] = tuple(bounds)
         # Per-word peel tables for the incremental decoder: compact
         # (uid, multiplier, candidates) rows, most significant (largest
         # multiplier) first.  Single-candidate slots are dropped — their
@@ -120,7 +126,7 @@ class ThreadWeightTable:
         for slot in reversed(self.slots):
             value = remaining[slot.word]
             index = value // slot.multiplier
-            if index >= len(slot.candidates):
+            if not 0 <= index < len(slot.candidates):
                 raise SignatureError(
                     "signature word %d value %d out of range for load uid %d"
                     % (slot.word, words[slot.word], slot.uid))

@@ -3,8 +3,8 @@
 In the paper's flow, signatures are produced on the device under
 validation and shipped to a host machine for decoding and checking; the
 amount of data transferred matters (Section 1).  This module provides
-that boundary: a campaign's signature multiset (plus, optionally, the
-observed coherence orders of the representatives) serializes to a JSON
+that boundary: a campaign's signature multiset (plus, optionally, each
+unique signature's observed coherence order) serializes to a JSON
 document that a host-side process can load and check without re-running
 anything.
 
@@ -22,7 +22,6 @@ from repro.harness.runner import CampaignResult
 from repro.instrument.signature import Signature, SignatureCodec
 from repro.isa.assembler import assemble, disassemble
 from repro.isa.program import TestProgram
-from repro.sim.execution import Execution
 from repro.sim.platform import REGISTER_WIDTHS
 
 _FORMAT_VERSION = 1
@@ -185,10 +184,10 @@ def dump_campaign(result: CampaignResult, include_ws: bool = True,
 
     Args:
         result: a finished :class:`CampaignResult`.
-        include_ws: also store each representative execution's observed
-            coherence order, enabling host-side ``observed``-mode
-            checking.  Without it the dump carries only what the paper's
-            signature transfer carries.
+        include_ws: also store each unique signature's observed
+            coherence order (``result.ws_orders``), enabling host-side
+            ``observed``-mode checking.  Without it the dump carries
+            only what the paper's signature transfer carries.
         meta: optional free-form provenance (fleet workers stamp their
             shard's seed and seed-block assignment here).  Ignored by
             :func:`load_campaign`; surfaced by :func:`campaign_meta`.
@@ -197,7 +196,7 @@ def dump_campaign(result: CampaignResult, include_ws: bool = True,
     for signature, count in sorted(result.signature_counts.items()):
         entry = {"words": _signature_to_list(signature), "count": count}
         if include_ws:
-            ws = result.representatives[signature].ws
+            ws = result.ws_orders[signature]
             entry["ws"] = {str(addr): chain for addr, chain in ws.items()}
         signatures.append(entry)
     doc = {
@@ -229,10 +228,13 @@ def campaign_meta(text: str) -> dict:
 def load_campaign(text: str) -> CampaignResult:
     """Reconstruct a host-side :class:`CampaignResult` from a JSON dump.
 
-    The returned result carries signature counts and (when the dump
-    includes ws) representative executions whose ``rf`` is recovered by
-    decoding each signature — Algorithm 1 on the host, as in the paper.
-    Entries decode through :func:`signature_from_entry` and their ``ws``
+    The returned result carries signature counts and each signature's
+    ws order (``{}`` when the dump has none); a checker recovers ``rf``
+    by decoding the signature — Algorithm 1 on the host, as in the
+    paper — so loading decodes nothing.  Entries parse through
+    :func:`signature_from_entry`, every signature's words are
+    range-checked by :meth:`SignatureCodec.validate` (a word outside
+    its bound raises ``SignatureError``), and their ``ws`` parses
     through :func:`_ws_from_doc`; a signature listed twice is a
     :class:`FormatError`, not a silent overwrite.
     The header is checked first: ``program`` must be an object and
@@ -269,9 +271,9 @@ def load_campaign(text: str) -> CampaignResult:
         if signature in counts:
             raise FormatError("campaign dump lists signature %s twice"
                               % (_signature_to_list(signature),))
+        codec.validate(signature)
         counts[signature] = count
-        result.representatives[signature] = Execution(
-            codec.decode(signature), _ws_from_doc(entry.get("ws", {})))
+        result.ws_orders[signature] = _ws_from_doc(entry.get("ws", {}))
     result.signature_counts = counts
     return result
 

@@ -133,6 +133,31 @@ class WeakOrdering(MemoryModel):
             return False
         return not (earlier.is_store and later.is_load)
 
+    def _reduced_pairs(self, ops: list[Operation]) -> Iterator[tuple[int, int]]:
+        """The base class's reduction, visiting only later same-address
+        operations (``orders`` holds for no other pair).
+
+        Each operation's candidates are scanned in ascending position,
+        as the base scan meets them, so the emitted pairs and their
+        order are identical; a thread of n operations costs a scan per
+        same-address pair instead of n**2 / 2 ``orders`` calls.
+        """
+        reach: list[set[int]] = [set() for _ in ops]
+        # address -> positions of later non-barrier ops, descending
+        later: dict[int, list[int]] = {}
+        for i in range(len(ops) - 1, -1, -1):
+            op = ops[i]
+            if op.is_barrier:
+                continue
+            positions = later.setdefault(op.addr, [])
+            for j in reversed(positions):
+                if not self.orders(op, ops[j]) or j in reach[i]:
+                    continue
+                yield (op.uid, ops[j].uid)
+                reach[i].add(j)
+                reach[i] |= reach[j]
+            positions.append(i)
+
 
 #: Singleton instances for convenient importing.
 SC = SequentialConsistency()

@@ -140,8 +140,9 @@ class CampaignSession:
                crashes: int = 0) -> BatchAck:
         """Fold one submitted batch into the session; returns its ack.
 
-        Every entry is decoded before anything is folded, so a malformed
-        batch raises :class:`~repro.io.FormatError` and changes nothing.
+        Every entry is parsed and range-checked before anything is
+        folded, so a malformed batch raises :class:`~repro.io.FormatError`
+        or :class:`~repro.errors.SignatureError` and changes nothing.
         Novel signatures are checked here, one
         :meth:`~repro.checker.stream.StreamingCollectiveChecker.feed`
         step each.  Thread-safe (the daemon runs batches on an
@@ -149,6 +150,8 @@ class CampaignSession:
         preserving submission order end-to-end.
         """
         decoded = [signature_from_entry(entry) for entry in entries]
+        for signature, _ in decoded:
+            self.codec.validate(signature)
         ack = BatchAck(seq=seq)
         with self._lock:
             totals = self._totals

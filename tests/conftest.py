@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.fleet.sharding import DEFAULT_BLOCK
 from repro.instrument import SignatureCodec
 from repro.isa import TestProgram, load, store
 from repro.testgen import TestConfig, generate
@@ -41,3 +42,19 @@ def small_program(small_config) -> TestProgram:
 @pytest.fixture
 def small_codec(small_program) -> SignatureCodec:
     return SignatureCodec(small_program, register_width=32)
+
+
+@pytest.fixture
+def executions_of():
+    """``executions_of(campaign, n)``: the executions ``campaign.run(n)``
+    collects, straight from its executor.
+
+    A campaign of at most one seed block runs block 0, seeded with the
+    campaign's own seed, so re-seeding the executor replays it.
+    """
+    def replay(campaign, iterations):
+        assert iterations <= DEFAULT_BLOCK, "more than one seed block"
+        campaign.executor.reseed(campaign.seed)
+        return list(campaign.executor.run(iterations))
+
+    return replay

@@ -17,6 +17,8 @@ from repro import obs
 from repro.checker import (
     BaselineChecker,
     CollectiveChecker,
+    PackedPlan,
+    PolySignatureSource,
     SignatureDeltaSource,
 )
 from repro.errors import CheckerError
@@ -24,6 +26,7 @@ from repro.graph import GraphBuilder
 from repro.harness import Campaign, CheckOutcome, check_campaign_result
 from repro.instrument import SignatureCodec
 from repro.mcm import get_model
+from repro.mutate import get_mutation
 from repro.sim import OperationalExecutor, platform_for_isa
 from repro.testgen import TestConfig, generate
 
@@ -129,6 +132,45 @@ class TestPipelineParity:
         # proves it, but make the interesting verdicts explicit
         for mine, theirs in zip(streamed.verdicts, legacy.verdicts):
             assert (mine.violation, mine.cycle) == (theirs.violation, theirs.cycle)
+
+
+class TestBaselineStreamParity:
+    """``BaselineChecker.check_stream`` sorts each execution from the
+    builder's static tables and builds a graph only for a witness.  Over
+    every source it takes, its summary (verdicts, witness cycles, sorted
+    vertices) must equal ``check`` over the prebuilt graphs."""
+
+    SOURCES = ("delta", "packed", "poly")
+
+    @staticmethod
+    def assert_parity(kind, program, codec, signatures, model):
+        builder = GraphBuilder(program, model, ws_mode="static")
+        graphs = [builder.build(codec.decode(sig)) for sig in signatures]
+        expected = BaselineChecker().check(graphs)
+        assert 0 < len(expected.violations) < len(signatures)
+        source = {
+            "delta": lambda: SignatureDeltaSource(codec, builder, signatures),
+            "packed": lambda: PackedPlan(codec, builder, signatures),
+            "poly": lambda: PolySignatureSource(codec, model, signatures),
+        }[kind]()
+        assert BaselineChecker().check_stream(source).summary() == \
+            expected.summary()
+
+    @pytest.mark.parametrize("kind", SOURCES)
+    def test_sc_checks_of_weak_runs(self, kind):
+        cfg = TestConfig(isa="arm", threads=4, ops_per_thread=40,
+                         addresses=8, seed=3)
+        program, codec, signatures = run_unique_signatures(cfg, 300, seed=13)
+        self.assert_parity(kind, program, codec, signatures, get_model("sc"))
+
+    @pytest.mark.parametrize("kind", SOURCES)
+    def test_operational_mutation_campaign(self, kind):
+        mutation = get_mutation("weak-fence-drop")
+        campaign = Campaign(config=mutation.spec.config, seed=0,
+                            mutation=mutation)
+        result = campaign.run(150)
+        self.assert_parity(kind, campaign.program, campaign.codec,
+                           result.sorted_signatures(), campaign.model)
 
 
 class TestInjectedBugCampaign:

@@ -10,6 +10,8 @@ from repro import obs
 from repro.errors import ExecutionError, ReproError
 from repro.fleet import FleetConfig, run_campaign_fleet
 from repro.harness import Campaign, SuiteRunner, check_campaign_result
+from repro.mcm import get_model
+from repro.sim import platform_for_isa
 from repro.sim.faults import Bug, FaultConfig
 from repro.testgen import TestConfig, paper_config
 
@@ -53,6 +55,18 @@ class TestShardedDeterminism:
         serial = Campaign(config=CFG, seed=11).run(200, block=50)
         sharded = Campaign(config=CFG, seed=11).run(200, jobs=2, block=50)
         assert sharded.signature_counts == serial.signature_counts
+
+    @pytest.mark.parametrize("option", ["model", "platform"])
+    def test_campaign_refuses_overrides_workers_cannot_rebuild(self, option):
+        # workers rebuild the campaign from the config alone, so an
+        # sc model or a platform override would silently change what
+        # the shards run
+        value = {"model": get_model("sc"),
+                 "platform": platform_for_isa("arm")}[option]
+        campaign = Campaign(config=CFG, seed=11, **{option: value})
+        with pytest.raises(ReproError, match=option):
+            campaign.run(200, jobs=2, block=50)
+        assert campaign.run(20).iterations == 20
 
     def test_worker_count_does_not_matter(self):
         two = run_campaign_fleet(config=CFG, iterations=160, jobs=2,

@@ -26,14 +26,15 @@ class TestMerge:
         assert merged.iterations == 120
         assert merged.unique_signatures == whole.unique_signatures
 
-    def test_first_shard_wins_representatives(self, campaign):
+    def test_first_shard_wins_ws_orders(self, campaign):
         a = campaign.run_blocks([(0, 50)])
         b = Campaign(program=campaign.program, config=campaign.config,
                      seed=9).run_blocks([(0, 50)])
         merged = merge_campaign_results([a, b])
-        for signature, representative in merged.representatives.items():
-            if signature in a.representatives:
-                assert representative is a.representatives[signature]
+        assert merged.ws_orders.keys() == merged.signature_counts.keys()
+        for signature, ws in merged.ws_orders.items():
+            if signature in a.ws_orders:
+                assert ws is a.ws_orders[signature]
 
     def test_crashes_and_accounting_sum(self, campaign):
         a = campaign.run_blocks([(0, 30)])

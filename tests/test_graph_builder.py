@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import CheckerError
 from repro.graph import (FR, RF, WS, ConstraintGraph, Edge, GraphBuilder,
-                         topological_sort)
+                         kahn_sort, topological_sort)
 from repro.harness import Campaign
 from repro.isa import INIT, TestProgram, load, store
 from repro.mcm import SC, TSO, WEAK
@@ -265,6 +265,45 @@ class TestBuildMatchesReference:
         for e in executions:
             assert_same_graph(builder.build(e.rf, e.ws),
                               reference_graph(builder, e.rf, e.ws))
+
+    @pytest.mark.parametrize("cfg", PAPER_CONFIGS[::4], ids=lambda c: c.name)
+    def test_sort_tables_list_build_pairs_with_multiplicity(self, cfg):
+        campaign = Campaign(config=cfg, seed=1)
+        builder = GraphBuilder(campaign.program, campaign.model)
+        num_ops = campaign.program.num_ops
+        rng = random.Random(cfg.name)
+        for _ in range(3):
+            rf = random_rf(campaign.codec, rng)
+            adjacency, indegree = builder.sort_tables(rf)
+            listed = sorted((u, v) for u, successors in adjacency.items()
+                            for v in successors)
+            # the template's (deduplicated) static pairs, then every
+            # dynamic pair, a repeat of a static one included
+            assert listed == sorted(
+                list(builder.build({}).edge_pairs)
+                + [pair for key in rf.items()
+                   for pair in builder.dynamic_edge_pairs(*key)])
+            assert indegree == [sum(v == w for _, v in listed)
+                                for w in range(num_ops)]
+            graph = builder.build(rf)
+            assert set(listed) == graph.edge_pairs
+            assert (kahn_sort(adjacency, num_ops, indegree) is None) == \
+                (topological_sort(range(num_ops), graph.adjacency) is None)
+
+    def test_sort_tables_leave_the_template_alone(self, small_program):
+        builder = GraphBuilder(small_program, WEAK)
+        execution = OperationalExecutor(small_program, WEAK, seed=9).run_one()
+        first = builder.sort_tables(execution.rf)
+        adjacency, indegree = builder.sort_tables(execution.rf)
+        assert (adjacency, indegree) == first
+        adjacency.clear()
+        indegree[:] = [0] * len(indegree)
+        assert builder.sort_tables(execution.rf) == first
+
+    def test_sort_tables_need_static_ws(self, small_program):
+        builder = GraphBuilder(small_program, WEAK, ws_mode="observed")
+        with pytest.raises(CheckerError):
+            builder.sort_tables({})
 
     @pytest.mark.parametrize("ws_mode", ["static", "observed"])
     def test_built_graphs_share_nothing(self, small_program, ws_mode):

@@ -5,7 +5,7 @@ from array import array
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import complete_sort, find_cycle, topological_sort
+from repro.graph import complete_sort, find_cycle, kahn_sort, topological_sort
 from repro.graph.toposort import resort_window
 
 
@@ -177,6 +177,28 @@ class TestCompleteSort:
                              scratch) is None
         assert scratch == [0] * 5
         assert complete_sort({4: [3], 3: [0]}, 5, scratch) == [1, 2, 4, 3, 0]
+
+
+class TestKahnSort:
+    """``kahn_sort`` takes counted in-degrees, so a pair listed twice is
+    counted twice: a multigraph sorts to its simple graph's verdict."""
+
+    @given(st.one_of(random_dag(), random_digraph()))
+    @settings(max_examples=200, deadline=None)
+    def test_multigraph_verdict_matches_simple_graph(self, case):
+        n, adj = case
+        doubled = {v: tuple(s) + tuple(s[:1]) for v, s in adj.items()}
+        indegree = [0] * n
+        for successors in doubled.values():
+            for w in successors:
+                indegree[w] += 1
+        order = kahn_sort(doubled, n, indegree)
+        expected = topological_sort(range(n), adj)
+        assert (order is None) == (expected is None)
+        if order is not None:
+            assert sorted(order) == list(range(n))
+            assert is_topological(order, adj)
+            assert indegree == [0] * n
 
 
 @st.composite

@@ -31,15 +31,25 @@ class TestCampaign:
         assert sum(result.signature_counts.values()) == 120
         assert result.iterations == 120
 
-    def test_representatives_match_signatures(self, campaign_and_result):
+    def test_ws_orders_match_first_executions(self, campaign_and_result,
+                                              executions_of):
+        """Each unique signature keeps the ws order of the first
+        execution that produced it, and nothing else."""
         campaign, result = campaign_and_result
-        for sig, execution in result.representatives.items():
-            assert campaign.codec.encode(execution.rf) == sig
+        first = {}
+        for execution in executions_of(campaign, 120):
+            first.setdefault(campaign.codec.encode(execution.rf), execution)
+        assert result.ws_orders.keys() == first.keys()
+        for sig, execution in first.items():
+            assert result.ws_orders[sig] == execution.ws
 
-    def test_decode_recovers_representative_rf(self, campaign_and_result):
+    def test_decode_recovers_representative_rf(self, campaign_and_result,
+                                               executions_of):
         """Algorithm 1 reconstructs exactly what was observed."""
         campaign, result = campaign_and_result
-        for sig, execution in result.representatives.items():
+        for execution in executions_of(campaign, 120):
+            sig = campaign.codec.encode(execution.rf)
+            assert sig in result.signature_counts
             assert campaign.codec.decode(sig) == execution.rf
 
     def test_sorted_signatures_ascending(self, campaign_and_result):

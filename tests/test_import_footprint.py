@@ -11,8 +11,9 @@ The non-graph oracle family imports no graph module.  The feasibility
 enumerator and the poly frontier closure decide acyclicity without a
 constraint graph; a disagreement with the graph family is evidence
 only while neither of them uses ``repro.graph``.  The one exception is
-display-only: ``PolySignatureSource.full_graph`` rebuilds a graph to
-render a witness cycle.
+display and comparison only: ``PolySignatureSource.builder`` makes a
+graph builder on first use, to render a witness cycle or to feed the
+conventional baseline.
 """
 
 import ast
@@ -80,4 +81,4 @@ def test_non_graph_family_imports_no_graph_module():
             (in_functions if in_function else module_level).append(
                 (relative, scope))
     assert module_level == []
-    assert in_functions == [("checker/poly.py", "PolySignatureSource.full_graph")]
+    assert in_functions == [("checker/poly.py", "PolySignatureSource.builder")]

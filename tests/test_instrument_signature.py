@@ -1,6 +1,7 @@
 """Unit tests for execution signatures and the codec."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SignatureError
 from repro.instrument import Signature, SignatureCodec
@@ -80,3 +81,53 @@ class TestCodec:
     def test_wider_registers_never_increase_size(self):
         p = generate(TestConfig(threads=4, ops_per_thread=50, addresses=16, seed=1))
         assert SignatureCodec(p, 64).byte_size <= SignatureCodec(p, 32).byte_size * 2
+
+
+def _raises(call, signature) -> bool:
+    try:
+        call(signature)
+    except SignatureError:
+        return True
+    return False
+
+
+@st.composite
+def _codec_and_signature(draw):
+    """A small program's codec and a signature built around its bounds:
+    words at and beside each bound, and sometimes a thread or a word too
+    many or too few."""
+    program = generate(TestConfig(
+        isa=draw(st.sampled_from(["arm", "x86"])),
+        threads=draw(st.integers(1, 3)),
+        ops_per_thread=draw(st.integers(1, 30)),
+        addresses=draw(st.integers(1, 6)), seed=draw(st.integers(0, 500))))
+    codec = SignatureCodec(program, draw(st.sampled_from([8, 32])))
+    threads = []
+    for table in codec.tables:
+        bounds = list(table.word_bounds)
+        bounds += [1] * draw(st.integers(0, 1))
+        del bounds[len(bounds) - draw(st.integers(0, 1)):]
+        threads.append(tuple(draw(st.sampled_from(
+            [0, bound - 1, bound, bound + 1, bound // 2, -1, 10 ** 30]))
+            for bound in bounds))
+    extra = draw(st.integers(-1, 1))
+    if extra > 0:
+        threads.append((0,))
+    elif extra < 0:
+        threads.pop()
+    return codec, Signature(tuple(threads))
+
+
+class TestValidate:
+    @given(_codec_and_signature())
+    @settings(max_examples=300, deadline=None)
+    def test_raises_exactly_when_decode_raises(self, drawn):
+        codec, signature = drawn
+        assert _raises(codec.validate, signature) == \
+            _raises(codec.decode, signature)
+
+    def test_largest_words_decode(self, small_codec):
+        largest = Signature(tuple(tuple(bound - 1 for bound in t.word_bounds)
+                                  for t in small_codec.tables))
+        small_codec.validate(largest)
+        assert small_codec.encode(small_codec.decode(largest)) == largest

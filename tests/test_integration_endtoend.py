@@ -126,8 +126,8 @@ class TestBugDetectionEndToEnd:
             graphs = []
             sigs = result.sorted_signatures()
             for sig in sigs:
-                e = result.representatives[sig]
-                graphs.append(builder.build(e.rf, e.ws))
+                graphs.append(builder.build(campaign.codec.decode(sig),
+                                            result.ws_orders[sig]))
             report = BaselineChecker().check(graphs)
             for verdict in report.violations:
                 detected.append((sigs[verdict.index], verdict))

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import io as repro_io
-from repro.errors import ProgramError
+from repro.errors import ProgramError, SignatureError
 from repro.harness import Campaign
 from repro.testgen import TestConfig
 
@@ -57,24 +57,29 @@ class TestCampaignRoundTrip:
         assert loaded.signature_counts == result.signature_counts
         assert loaded.iterations == result.iterations
 
-    def test_decoded_rf_matches_original(self, finished_campaign):
+    def test_decoded_rf_matches_original(self, finished_campaign,
+                                         executions_of):
+        """Every execution the campaign ran decodes back to its own rf
+        from the loaded dump's signatures."""
         campaign, result = finished_campaign
         loaded = repro_io.load_campaign(repro_io.dump_campaign(result))
-        for signature, execution in loaded.representatives.items():
-            assert execution.rf == result.representatives[signature].rf
+        for execution in executions_of(campaign, result.iterations):
+            signature = campaign.codec.encode(execution.rf)
+            assert signature in loaded.signature_counts
+            assert loaded.codec.decode(signature) == execution.rf
 
     def test_ws_preserved_when_included(self, finished_campaign):
         campaign, result = finished_campaign
         loaded = repro_io.load_campaign(repro_io.dump_campaign(result, include_ws=True))
-        for signature, execution in loaded.representatives.items():
-            assert execution.ws == result.representatives[signature].ws
+        assert loaded.ws_orders == result.ws_orders
 
     def test_ws_omitted_when_excluded(self, finished_campaign):
         campaign, result = finished_campaign
         dump = repro_io.dump_campaign(result, include_ws=False)
         assert '"ws"' not in dump
         loaded = repro_io.load_campaign(dump)
-        assert all(e.ws == {} for e in loaded.representatives.values())
+        assert loaded.ws_orders.keys() == result.signature_counts.keys()
+        assert all(ws == {} for ws in loaded.ws_orders.values())
 
     def test_host_side_checking_from_dump(self, finished_campaign):
         """The full host flow: load dump, decode, build, check."""
@@ -86,7 +91,7 @@ class TestCampaignRoundTrip:
         loaded = repro_io.load_campaign(repro_io.dump_campaign(result))
         builder = GraphBuilder(loaded.program, WEAK, ws_mode="observed")
         graphs = [builder.build(loaded.codec.decode(sig),
-                                loaded.representatives[sig].ws)
+                                loaded.ws_orders[sig])
                   for sig in loaded.sorted_signatures()]
         report = CollectiveChecker().check(graphs)
         assert not report.violations
@@ -110,6 +115,43 @@ class TestFormatValidation:
         doc["format"] = 999
         with pytest.raises(repro_io.FormatError):
             repro_io.load_campaign(json.dumps(doc))
+
+
+class TestWordRange:
+    """Loading range-checks every word against its bound (the product of
+    its loads' candidate counts) without decoding."""
+
+    @staticmethod
+    def _one_entry_dump(result, word):
+        doc = json.loads(repro_io.dump_campaign(result, include_ws=False))
+        entry = doc["signatures"][0]
+        entry["words"][0][0] = word
+        doc["signatures"] = [entry]
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("excess", [0, 1])
+    def test_word_at_or_past_its_bound_is_a_signature_error(
+            self, finished_campaign, excess):
+        _, result = finished_campaign
+        bound = result.codec.tables[0].word_bounds[0]
+        with pytest.raises(SignatureError, match="out of range"):
+            repro_io.load_campaign(self._one_entry_dump(result,
+                                                        bound + excess))
+
+    def test_word_of_10_to_the_30_is_a_signature_error(self,
+                                                       finished_campaign):
+        _, result = finished_campaign
+        with pytest.raises(SignatureError):
+            repro_io.load_campaign(self._one_entry_dump(result, 10 ** 30))
+
+    def test_largest_word_loads_and_decodes(self, finished_campaign):
+        _, result = finished_campaign
+        bound = result.codec.tables[0].word_bounds[0]
+        loaded = repro_io.load_campaign(self._one_entry_dump(result,
+                                                             bound - 1))
+        (signature,) = loaded.signature_counts
+        assert signature.words[0][0] == bound - 1
+        loaded.codec.decode(signature)
 
 
 _BAD_COUNTS = (None, -1, 2.9, "3", [], True)

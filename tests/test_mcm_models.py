@@ -2,10 +2,13 @@
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.isa import TestProgram, barrier, load, store
 from repro.mcm import SC, TSO, WEAK, get_model
+from repro.mcm.model import MemoryModel, WeakOrdering
 from repro.testgen import TestConfig, generate
+from repro.testgen.litmus import all_litmus_tests, extended_litmus_tests
 
 
 def closure_pairs(model, thread_program):
@@ -57,6 +60,39 @@ class TestPpoClosure:
         closure = non_barrier_pairs(closure_pairs(model, p.threads[0]), p)
         expected = non_barrier_pairs(expected_pairs(model, p.threads[0]), p)
         assert closure == expected
+
+
+class _BaseReductionWeak(WeakOrdering):
+    """The weak model with the base class's all-pairs ``orders`` scan."""
+
+    _reduced_pairs = MemoryModel._reduced_pairs
+
+
+class TestWeakReduction:
+    """The weak model's same-address scan emits the base reduction's
+    pairs in the base reduction's order: that order fixes every
+    template's adjacency, and through it the collective checker's
+    counts."""
+
+    @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(2, 40),
+           st.integers(1, 8), st.sampled_from([0.0, 0.1, 0.3]))
+    @settings(max_examples=40, deadline=None)
+    def test_generated_programs(self, seed, threads, ops, addresses,
+                                barriers):
+        program = generate(TestConfig(
+            threads=threads, ops_per_thread=ops, addresses=addresses,
+            barrier_fraction=barriers, seed=seed))
+        for tp in program.threads:
+            assert list(WEAK.ppo_edges(tp)) == \
+                list(_BaseReductionWeak().ppo_edges(tp))
+
+    @pytest.mark.parametrize(
+        "litmus", all_litmus_tests() + extended_litmus_tests(),
+        ids=lambda t: t.name)
+    def test_litmus_tests(self, litmus):
+        for tp in litmus.program.threads:
+            assert list(WEAK.ppo_edges(tp)) == \
+                list(_BaseReductionWeak().ppo_edges(tp))
 
 
 class TestOrders:

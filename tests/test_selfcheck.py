@@ -114,7 +114,7 @@ class TestTreeScan:
 
 def test_scopes_cover_the_checking_core():
     assert selfcheck.RUN_SCOPE == ("src/repro/checker", "src/repro/graph",
-                                   "src/repro/instrument")
+                                   "src/repro/instrument", "src/repro/mcm")
     for scope in selfcheck.RUN_SCOPE:
         assert (REPO / scope).is_dir()
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import obs
+from repro.errors import ReproError
 from repro.harness import Campaign, check_campaign_result
 from repro.io import FormatError, signature_to_entry
 from repro.mcm import SC
@@ -65,6 +66,24 @@ class TestIngest:
         assert session.signatures_ingested == 0
         assert session.unique_signatures == 0
         assert len(session.checker) == 0
+
+    def test_out_of_range_word_rejects_the_whole_batch(self,
+                                                        campaign_result):
+        session = CampaignSession(1, campaign_result.program, 32,
+                                  SignatureDedupStore())
+        entries = _entries(campaign_result)
+        session.ingest(entries[:3], seq=1)
+        counters = (session.unique_signatures, session.signatures_ingested,
+                    session.batches)
+        bad = {"words": [list(words) for words in entries[4]["words"]]}
+        bad["words"][0][0] = 10 ** 30
+        with pytest.raises(ReproError):
+            session.ingest([entries[3], bad], seq=2)
+        assert (session.unique_signatures, session.signatures_ingested,
+                session.batches) == counters
+        ack = session.ingest(entries[3:], seq=3)
+        assert ack.novel == len(entries) - 3
+        assert session.finalize().summary == _batch_summary(campaign_result)
 
     def test_dedup_shared_across_sessions(self, campaign_result):
         store = SignatureDedupStore()
